@@ -19,44 +19,12 @@
 //! On a single-core host the fan-out cannot beat one shard and the JSON
 //! records `available_parallelism` so the reader can tell.
 
+use pdr_bench::clustered_population;
 use pdr_core::{EngineSpec, FrConfig, PdrQuery};
-use pdr_geometry::Point;
-use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Update};
+use pdr_mobject::{TimeHorizon, Update};
 
 const EXTENT: f64 = 1000.0;
 const L: f64 = 30.0;
-
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> f64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (1u64 << 31) as f64
-    }
-}
-
-/// `n` objects: 75 % in 250 compact 20×20 clusters (borderline-dense
-/// pockets whose rims become candidate cells), 25 % uniform background.
-fn clustered_population(n: usize, seed: u64) -> Vec<(ObjectId, MotionState)> {
-    let mut rng = Lcg(seed);
-    let clusters: Vec<(f64, f64)> = (0..250)
-        .map(|_| (20.0 + rng.next() * 960.0, 20.0 + rng.next() * 960.0))
-        .collect();
-    (0..n)
-        .map(|i| {
-            let p = if i % 4 != 3 {
-                let (cx, cy) = clusters[i % clusters.len()];
-                Point::new(cx + rng.next() * 20.0 - 10.0, cy + rng.next() * 20.0 - 10.0)
-            } else {
-                Point::new(rng.next() * EXTENT, rng.next() * EXTENT)
-            };
-            let v = Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0);
-            (ObjectId(i as u64), MotionState::new(p, v, 0))
-        })
-        .collect()
-}
 
 /// The inner engine every shard runs. `threads: 0` lets the sharded
 /// plane's fan-out use every core (each shard still refines serially —

@@ -33,6 +33,7 @@
 //! Usage: `cargo bench --bench sub_incremental [-- <n_objects>
 //! <ticks>]` (defaults: 1 500 objects, 3 ticks).
 
+use pdr_bench::Lcg;
 use pdr_core::{DensityEngine, EngineSpec, FrConfig, PdrQuery, QtPolicy, SubscriptionTable};
 use pdr_geometry::{Point, Rect};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Update};
@@ -40,26 +41,6 @@ use std::time::Instant;
 
 const EXTENT: f64 = 200.0;
 const L: f64 = 20.0;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn f64(&mut self) -> f64 {
-        self.next() as f64 / (1u64 << 31) as f64
-    }
-
-    fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64() * (hi - lo)
-    }
-}
 
 fn motion(rng: &mut Lcg, t_ref: u64) -> MotionState {
     MotionState::new(
@@ -70,7 +51,7 @@ fn motion(rng: &mut Lcg, t_ref: u64) -> MotionState {
 }
 
 fn region(rng: &mut Lcg) -> Rect {
-    if rng.next().is_multiple_of(4) {
+    if rng.next_u31().is_multiple_of(4) {
         return Rect::new(0.0, 0.0, EXTENT, EXTENT);
     }
     let w = rng.in_range(0.3, 0.8) * EXTENT;
@@ -121,12 +102,12 @@ fn run(subs: usize, n: usize, ticks: u64) -> Row {
     // for the whole run; half slides with the clock at a small offset.
     const RHOS: [f64; 4] = [0.02, 0.04, 0.06, 0.08];
     for i in 0..subs {
-        let rho = RHOS[(rng.next() as usize) % RHOS.len()];
+        let rho = RHOS[(rng.next_u31() as usize) % RHOS.len()];
         let r = region(&mut rng);
         let policy = if i % 2 == 0 {
             QtPolicy::Fixed(ticks + 1)
         } else {
-            QtPolicy::NowPlus(rng.next() % 3)
+            QtPolicy::NowPlus(rng.next_u31() % 3)
         };
         eng.register_subscription(rho, L, r, policy)
             .expect("subscription within the filter's reach");
@@ -142,8 +123,8 @@ fn run(subs: usize, n: usize, ticks: u64) -> Row {
         // ~5% churn per tick: fresh inserts plus exact deletes.
         let mut batch = Vec::new();
         for _ in 0..(n / 20) {
-            if !live.is_empty() && rng.next().is_multiple_of(3) {
-                let k = (rng.next() as usize) % live.len();
+            if !live.is_empty() && rng.next_u31().is_multiple_of(3) {
+                let k = (rng.next_u31() as usize) % live.len();
                 let (id, m) = live.swap_remove(k);
                 batch.push(Update::delete(id, now, m));
             } else {

@@ -24,13 +24,61 @@ use pdr_core::{
     accuracy, DensityEngine, EngineSpec, FrConfig, FrEngine, PaConfig, PaEngine, PdrQuery,
     Scoreboard,
 };
-use pdr_geometry::RegionSet;
+use pdr_geometry::{Point, RegionSet};
 use pdr_histogram::DensityHistogram;
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 use pdr_storage::CostModel;
 use pdr_workload::config::ExperimentConfig;
 use pdr_workload::{NetworkConfig, RoadNetwork, TrafficSimulator};
 use std::time::{Duration, Instant};
+
+/// Deterministic data generator shared by the benches: a 64-bit linear
+/// congruential generator (Knuth's MMIX constants) whose outputs are
+/// the top 31 bits of the state.
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The top 31 bits of the next state.
+    pub fn next_u31(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    /// A uniform draw in `[0, 1)`.
+    pub fn f64(&mut self) -> f64 {
+        self.next_u31() as f64 / (1u64 << 31) as f64
+    }
+
+    /// A uniform draw in `[lo, hi)`.
+    pub fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.f64() * (hi - lo)
+    }
+}
+
+/// `n` objects on a 1000×1000 domain: 75 % in 250 compact 20×20
+/// clusters (borderline-dense pockets whose rims become candidate
+/// cells), 25 % uniform background.
+pub fn clustered_population(n: usize, seed: u64) -> Vec<(ObjectId, MotionState)> {
+    let mut rng = Lcg(seed);
+    let clusters: Vec<(f64, f64)> = (0..250)
+        .map(|_| (20.0 + rng.f64() * 960.0, 20.0 + rng.f64() * 960.0))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let p = if i % 4 != 3 {
+                let (cx, cy) = clusters[i % clusters.len()];
+                Point::new(cx + rng.f64() * 20.0 - 10.0, cy + rng.f64() * 20.0 - 10.0)
+            } else {
+                Point::new(rng.f64() * 1000.0, rng.f64() * 1000.0)
+            };
+            let v = Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0);
+            (ObjectId(i as u64), MotionState::new(p, v, 0))
+        })
+        .collect()
+}
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -30,6 +30,7 @@ use pdr_core::{
 };
 use pdr_geometry::{Point, Rect, RegionSet};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
+use pdr_storage::seeded::{backoff_delay, SeededRng};
 use pdr_storage::{CostModel, FaultPlan};
 use pdr_workload::{
     gaussian_clusters, net::Json, FaultPolicy, NetClient, NetFaultInjector, NetFaultPlan,
@@ -623,7 +624,7 @@ fn cmd_serve_replica(o: &Options) -> Result<(), String> {
     // is *not* fatal — the replica serves empty until a `sync` op
     // succeeds, which re-bootstraps it once the primary returns.
     let policy = FaultPolicy::default();
-    let mut rng = policy.seed | 1;
+    let mut rng = SeededRng::new(policy.seed);
     let mut last_err = String::new();
     let mut bootstrapped = false;
     for attempt in 1..=policy.max_attempts {
@@ -671,13 +672,8 @@ fn load_net_fault_plan(path: &str) -> Result<NetFaultInjector, String> {
 
 /// Seeded jittered exponential backoff for client-side reconnects
 /// (2 ms base doubling to a 200 ms cap, ±50% jitter).
-fn client_backoff(rng: &mut u64, attempt: u32) {
-    let delay = 2_000u64.saturating_mul(1 << attempt.min(8)).min(200_000);
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let jitter = rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % (delay / 2 + 1);
-    std::thread::sleep(Duration::from_micros(delay / 2 + jitter));
+fn client_backoff(rng: &mut SeededRng, attempt: u32) {
+    std::thread::sleep(backoff_delay(2_000, 200_000, attempt, rng));
 }
 
 /// `serve --listen`: hands the bootstrapped driver to the TCP
@@ -744,7 +740,7 @@ struct ResilientClient {
     failovers: u64,
     /// Same-connection re-sends after a presumed-dropped frame.
     retries: u64,
-    rng: u64,
+    rng: SeededRng,
     faults: Option<Arc<NetFaultInjector>>,
 }
 
@@ -791,7 +787,7 @@ impl ResilientClient {
             reconnects: 0,
             failovers: 0,
             retries: 0,
-            rng: seed | 1,
+            rng: SeededRng::new(seed),
             faults,
         };
         c.ensure_connected()?;

@@ -545,6 +545,41 @@ impl<I: RangeIndex> FrEngine<I> {
         configured.min(candidates).max(1)
     }
 
+    /// Refines `cells` (see [`refine_cells`]) across up to
+    /// [`worker_count`](Self::worker_count) executor tasks. Chunking is
+    /// a pure function of (workers, cells), and the executor returns
+    /// chunk results in index order, so the merged per-cell sequence is
+    /// identical at every pool size — including zero workers, where the
+    /// scope runs inline.
+    fn refine(&self, cells: Vec<CellId>, q: &PdrQuery, threshold: DenseThreshold) -> RefineResult {
+        let grid = self.histogram.grid();
+        let workers = self.worker_count(cells.len());
+        if workers <= 1 {
+            let obs = self.obs.enabled().then_some(&*self.obs);
+            return refine_cells(&*self.tree, grid, &cells, q, threshold, obs);
+        }
+        let chunk_len = cells.len().div_ceil(workers);
+        let chunks = cells.len().div_ceil(chunk_len);
+        let mut merged = (Vec::with_capacity(cells.len()), 0, IoStats::default());
+        let tree = Arc::clone(&self.tree);
+        let obs = Arc::clone(&self.obs);
+        let cells = Arc::new(cells);
+        let q = *q;
+        let per_chunk = Executor::global().scope(chunks, move |k| {
+            let lo = k * chunk_len;
+            let hi = (lo + chunk_len).min(cells.len());
+            let chunk_obs = obs.enabled().then_some(&*obs);
+            refine_cells(&*tree, grid, &cells[lo..hi], &q, threshold, chunk_obs)
+        });
+        for chunk in per_chunk {
+            let (rects, retrieved, io) = chunk?;
+            merged.0.extend(rects);
+            merged.1 += retrieved;
+            merged.2 += io;
+        }
+        Ok(merged)
+    }
+
     /// Evaluates a snapshot PDR query exactly (Algorithms 1–3).
     ///
     /// The filter step is served from the per-timestamp classification
@@ -594,42 +629,13 @@ impl<I: RangeIndex> FrEngine<I> {
 
         self.tree.reset_io_stats();
         let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
-        let workers = self.worker_count(candidates.len());
-        let obs = enabled.then_some(&*self.obs);
-        let (rects, objects_retrieved, io) = if workers <= 1 {
-            refine_chunk(&*self.tree, grid, &candidates, q, threshold, obs)?
-        } else {
-            // Chunking is a pure function of (workers, candidates), and
-            // the executor returns chunk results in index order, so the
-            // merged rectangle sequence is identical at every pool size
-            // — including zero workers, where the scope runs inline.
-            let chunk_len = candidates.len().div_ceil(workers);
-            let chunks = candidates.len().div_ceil(chunk_len);
-            let tree = Arc::clone(&self.tree);
-            let obs = Arc::clone(&self.obs);
-            let cells = Arc::new(candidates);
-            let q = *q;
-            let per_chunk: Vec<RefineResult> = Executor::global().scope(chunks, move |k| {
-                let lo = k * chunk_len;
-                let hi = (lo + chunk_len).min(cells.len());
-                let chunk_obs = obs.enabled().then_some(&*obs);
-                refine_chunk(&*tree, grid, &cells[lo..hi], &q, threshold, chunk_obs)
-            });
-            let mut rects = Vec::new();
-            let mut retrieved = 0usize;
-            let mut io = IoStats::default();
-            for chunk in per_chunk {
-                let (r, n, i) = chunk?;
-                rects.extend(r);
-                retrieved += n;
-                io += i;
-            }
-            (rects, retrieved, io)
-        };
+        let (cell_rects, objects_retrieved, io) = self.refine(candidates, q, threshold)?;
         {
             let _t = self.obs.merge_time.timer(enabled);
-            for r in rects {
-                regions.push(r);
+            for (_, rects) in cell_rects {
+                for r in rects {
+                    regions.push(r);
+                }
             }
             // Canonical (exact) compaction, not the ε-tolerant coalesce:
             // the exact answer must be a pure function of the dense point
@@ -953,32 +959,8 @@ impl<I: RangeIndex> FrEngine<I> {
         if enabled {
             self.obs.dirty_cells.add(to_refine.len() as u64);
         }
-        let workers = self.worker_count(to_refine.len());
-        let refined = if workers <= 1 {
-            let obs = enabled.then_some(&*self.obs);
-            refine_cells(&*self.tree, grid, &to_refine, q, threshold, obs).map(|(r, _, _)| r)
-        } else {
-            let chunk_len = to_refine.len().div_ceil(workers);
-            let chunks = to_refine.len().div_ceil(chunk_len);
-            let tree = Arc::clone(&self.tree);
-            let obs = Arc::clone(&self.obs);
-            let cells = Arc::new(to_refine);
-            let q2 = *q;
-            let per_chunk = Executor::global().scope(chunks, move |k| {
-                let lo = k * chunk_len;
-                let hi = (lo + chunk_len).min(cells.len());
-                let chunk_obs = obs.enabled().then_some(&*obs);
-                refine_cells(&*tree, grid, &cells[lo..hi], &q2, threshold, chunk_obs)
-            });
-            per_chunk
-                .into_iter()
-                .try_fold(Vec::new(), |mut acc, chunk| {
-                    acc.extend(chunk?.0);
-                    Ok(acc)
-                })
-        };
-        let refined = match refined {
-            Ok(r) => r,
+        let refined = match self.refine(to_refine, q, threshold) {
+            Ok((r, _, _)) => r,
             Err(e) => {
                 // Keep the previous cache entry so the next (post-
                 // recovery) maintenance pass retries from it instead of
@@ -1018,17 +1000,19 @@ impl<I: RangeIndex> FrEngine<I> {
 /// snapshots' rectangles.
 pub const INTERVAL_COALESCE_EVERY: u32 = 4;
 
-/// Refines one contiguous chunk of candidate cells: per cell, a range
-/// query over the `l/2`-inflated cell followed by the plane sweep.
-/// One refinement chunk's yield: dense rectangles, objects retrieved,
-/// and the chunk's own I/O — or the storage fault that aborted it.
-type RefineResult = Result<(Vec<Rect>, usize, IoStats), StorageError>;
+/// One refinement's yield: each cell's dense rectangles, keyed by
+/// linear cell index and in cell order (the subscription group cache
+/// reuses them per cell while the cell stays clean), the objects
+/// retrieved and the I/O — or the storage fault that aborted it.
+type RefineResult = Result<(Vec<(usize, Vec<Rect>)>, usize, IoStats), StorageError>;
 
-/// Self-contained per chunk (own I/O collector, own rectangle list) so
-/// chunks can run on separate threads and still merge deterministically.
-/// When `obs` is set, each cell's range query and plane sweep record
-/// into the shared (atomic) stage histograms.
-fn refine_chunk<I: RangeIndex>(
+/// Refines candidate cells one by one: a range query over the
+/// `l/2`-inflated cell followed by the plane sweep. Self-contained (own
+/// I/O collector, own output) so chunks of cells can run on separate
+/// threads and still merge deterministically. When `obs` is set, each
+/// cell's range query and plane sweep record into the shared (atomic)
+/// stage histograms.
+fn refine_cells<I: RangeIndex>(
     tree: &I,
     grid: GridSpec,
     cells: &[CellId],
@@ -1036,14 +1020,14 @@ fn refine_chunk<I: RangeIndex>(
     threshold: DenseThreshold,
     obs: Option<&FrObs>,
 ) -> RefineResult {
-    let mut rects = Vec::new();
+    let mut out = Vec::with_capacity(cells.len());
     let mut retrieved = 0usize;
     let mut io = IoStats::default();
-    // Scratch reused across every cell of the chunk: the range query
-    // refills `hits`, the sweep sorts `positions` in place. Neither is
-    // reallocated unless a cell yields more objects than any earlier
-    // one; growth events feed the `refine_allocs` counter, which tests
-    // pin to a logarithmic bound.
+    // Scratch reused across every cell: the range query refills `hits`,
+    // the sweep sorts `positions` in place. Neither is reallocated
+    // unless a cell yields more objects than any earlier one; growth
+    // events feed the `refine_allocs` counter, which tests pin to a
+    // logarithmic bound.
     let mut hits: Vec<(ObjectId, Point)> = Vec::new();
     let mut positions: Vec<Point> = Vec::new();
     for &cell in cells {
@@ -1063,45 +1047,7 @@ fn refine_chunk<I: RangeIndex>(
                 u64::from(hits.capacity() != caps.0) + u64::from(positions.capacity() != caps.1),
             );
         }
-        rects.extend(refine_region(&target, &mut positions, threshold, q.l));
-    }
-    Ok((rects, retrieved, io))
-}
-
-/// One maintenance chunk's yield: each cell's rectangles separately
-/// (keyed by linear cell index) so they can be cached and reused while
-/// the cell stays clean.
-type RefineCellsResult = Result<(Vec<(usize, Vec<Rect>)>, usize, IoStats), StorageError>;
-
-/// Per-cell variant of [`refine_chunk`] for subscription maintenance:
-/// identical range-query + plane-sweep pipeline (same scratch reuse),
-/// but the rectangles are *not* flattened across cells — the group
-/// cache needs per-cell attribution to reuse clean cells.
-fn refine_cells<I: RangeIndex>(
-    tree: &I,
-    grid: GridSpec,
-    cells: &[CellId],
-    q: &PdrQuery,
-    threshold: DenseThreshold,
-    obs: Option<&FrObs>,
-) -> RefineCellsResult {
-    let mut out = Vec::with_capacity(cells.len());
-    let mut retrieved = 0usize;
-    let mut io = IoStats::default();
-    let mut hits: Vec<(ObjectId, Point)> = Vec::new();
-    let mut positions: Vec<Point> = Vec::new();
-    for &cell in cells {
-        let target = grid.cell_rect(cell);
-        let s = target.inflate(q.l / 2.0);
-        {
-            let _t = obs.map(|o| o.range_time.timer(true));
-            tree.try_range_at_into(&s, q.q_t, &mut io, &mut hits)?;
-        }
-        retrieved += hits.len();
-        let _t = obs.map(|o| o.sweep_time.timer(true));
-        positions.clear();
-        positions.extend(hits.iter().map(|&(_, p)| p));
-        let rects: Vec<Rect> = refine_region(&target, &mut positions, threshold, q.l);
+        let rects = refine_region(&target, &mut positions, threshold, q.l);
         out.push((grid.linear_index(cell), rects));
     }
     Ok((out, retrieved, io))
@@ -1110,6 +1056,7 @@ fn refine_cells<I: RangeIndex>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Lcg;
     use crate::{accuracy, ExactOracle};
     use pdr_geometry::Rect;
 
@@ -1123,27 +1070,16 @@ mod tests {
         }
     }
 
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> f64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (self.0 >> 33) as f64 / (1u64 << 31) as f64
-        }
-    }
-
     fn clustered_population(n: usize, seed: u64) -> Vec<(ObjectId, MotionState)> {
         let mut rng = Lcg(seed);
         (0..n)
             .map(|i| {
                 let p = if i % 2 == 0 {
-                    Point::new(60.0 + rng.next() * 40.0, 60.0 + rng.next() * 40.0)
+                    Point::new(60.0 + rng.f64() * 40.0, 60.0 + rng.f64() * 40.0)
                 } else {
-                    Point::new(rng.next() * 200.0, rng.next() * 200.0)
+                    Point::new(rng.f64() * 200.0, rng.f64() * 200.0)
                 };
-                let v = Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0);
+                let v = Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0);
                 (ObjectId(i as u64), MotionState::new(p, v, 0))
             })
             .collect()
@@ -1184,8 +1120,8 @@ mod tests {
         fr.advance_to(2);
         for (id, m) in table.iter_mut().take(100) {
             let new_m = MotionState::new(
-                Point::new(rng.next() * 200.0, rng.next() * 200.0),
-                Point::new(rng.next() * 2.0 - 1.0, 0.0),
+                Point::new(rng.f64() * 200.0, rng.f64() * 200.0),
+                Point::new(rng.f64() * 2.0 - 1.0, 0.0),
                 2,
             );
             fr.apply(&Update::delete(*id, 2, *m));

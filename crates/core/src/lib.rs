@@ -80,6 +80,9 @@ mod replica;
 mod shard;
 pub mod sub;
 mod sweep;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_rng;
 mod wal;
 
 pub use dh_answers::{dh_optimistic, dh_pessimistic};
@@ -113,4 +116,4 @@ pub use wal::{
 
 // Fault-injection surface of the storage plane, re-exported so engine
 // users need not depend on `pdr-storage` directly.
-pub use pdr_storage::{FaultPlan, FaultPlanError, FaultStats, StorageError};
+pub use pdr_storage::{FaultPlan, FaultStats, PlanError, StorageError};

@@ -496,6 +496,7 @@ impl PaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Lcg;
     use crate::{accuracy, ExactOracle, PdrQuery};
     use pdr_mobject::{MotionState, ObjectId};
 
@@ -510,27 +511,16 @@ mod tests {
         }
     }
 
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> f64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (self.0 >> 33) as f64 / (1u64 << 31) as f64
-        }
-    }
-
     fn population(n: usize, seed: u64) -> Vec<(ObjectId, MotionState)> {
         let mut rng = Lcg(seed);
         (0..n)
             .map(|i| {
                 let p = if i % 2 == 0 {
-                    Point::new(60.0 + rng.next() * 40.0, 60.0 + rng.next() * 40.0)
+                    Point::new(60.0 + rng.f64() * 40.0, 60.0 + rng.f64() * 40.0)
                 } else {
-                    Point::new(rng.next() * 200.0, rng.next() * 200.0)
+                    Point::new(rng.f64() * 200.0, rng.f64() * 200.0)
                 };
-                let v = Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0);
+                let v = Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0);
                 (ObjectId(i as u64), MotionState::new(p, v, 0))
             })
             .collect()
@@ -699,7 +689,7 @@ mod tests {
             for (id, m) in pop.iter().filter(|(id, _)| id.0 % 2 == 0) {
                 let moved = MotionState::new(
                     m.position_at(t),
-                    Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0),
+                    Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0),
                     t,
                 );
                 for u in table.report(*id, t, moved) {

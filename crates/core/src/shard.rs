@@ -1404,12 +1404,13 @@ impl ShardedEngine {
                     let m = self.router_table[&id];
                     let bbox =
                         Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h));
-                    (bbox.intersects(&source_ingest) && !bbox.intersects(ingest))
-                        .then_some(Update {
+                    (bbox.intersects(&source_ingest) && !bbox.intersects(ingest)).then_some(
+                        Update {
                             id: ObjectId(id),
                             t_now: self.t_base,
                             kind: pdr_mobject::UpdateKind::Delete { old_motion: m },
-                        })
+                        },
+                    )
                 })
                 .collect();
             if !prune.is_empty() {

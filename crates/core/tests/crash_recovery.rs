@@ -18,26 +18,12 @@ use pdr_geometry::Point;
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 use std::collections::HashMap;
 
+mod common;
+use common::Lcg;
+
 const TICKS: Timestamp = 20;
 const OBJECTS: u64 = 250;
 const EXTENT: f64 = 200.0;
-
-/// In-repo deterministic generator (no external proptest/rand).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 33) as f64 / (1u64 << 31) as f64
-    }
-}
 
 fn cfg() -> FrConfig {
     FrConfig {
@@ -52,14 +38,14 @@ fn cfg() -> FrConfig {
 /// Half the traffic clusters in a 40×40 hot region so the probe
 /// queries return non-empty regions with real candidate refinement.
 fn motion(rng: &mut Lcg, t_ref: Timestamp) -> MotionState {
-    let origin = if rng.unit() < 0.5 {
-        Point::new(60.0 + rng.unit() * 40.0, 60.0 + rng.unit() * 40.0)
+    let origin = if rng.f64() < 0.5 {
+        Point::new(60.0 + rng.f64() * 40.0, 60.0 + rng.f64() * 40.0)
     } else {
-        Point::new(rng.unit() * EXTENT, rng.unit() * EXTENT)
+        Point::new(rng.f64() * EXTENT, rng.f64() * EXTENT)
     };
     MotionState::new(
         origin,
-        Point::new(rng.unit() * 2.0 - 1.0, rng.unit() * 2.0 - 1.0),
+        Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0),
         t_ref,
     )
 }
@@ -82,7 +68,7 @@ fn workload(seed: u64) -> Workload {
     for t in 1..=TICKS {
         let mut batch = Vec::new();
         for _ in 0..12 {
-            let id = ObjectId(rng.next_u64() % OBJECTS);
+            let id = ObjectId(rng.next_state() % OBJECTS);
             let old = current[&id];
             let insert = Update::insert(id, t, motion(&mut rng, t));
             // Mirror what the engine stores: `Update::insert` rebases

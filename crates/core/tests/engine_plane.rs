@@ -7,16 +7,8 @@ use pdr_core::{
 use pdr_geometry::{Point, RegionSet};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> f64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (1u64 << 31) as f64
-    }
-}
+mod common;
+use common::Lcg;
 
 fn fr_cfg(threads: usize) -> FrConfig {
     FrConfig {
@@ -44,11 +36,11 @@ fn population(n: usize, seed: u64) -> Vec<(ObjectId, MotionState)> {
     (0..n)
         .map(|i| {
             let p = if i % 2 == 0 {
-                Point::new(70.0 + rng.next() * 60.0, 70.0 + rng.next() * 60.0)
+                Point::new(70.0 + rng.f64() * 60.0, 70.0 + rng.f64() * 60.0)
             } else {
-                Point::new(rng.next() * 200.0, rng.next() * 200.0)
+                Point::new(rng.f64() * 200.0, rng.f64() * 200.0)
             };
-            let v = Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0);
+            let v = Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0);
             (ObjectId(i as u64), MotionState::new(p, v, 0))
         })
         .collect()
@@ -66,7 +58,7 @@ fn script(seed: u64) -> (Vec<(ObjectId, MotionState)>, Vec<Vec<Update>>) {
                 .flat_map(|(id, m)| {
                     let moved = MotionState::new(
                         m.position_at(t),
-                        Point::new(rng.next() * 2.0 - 1.0, rng.next() * 2.0 - 1.0),
+                        Point::new(rng.f64() * 2.0 - 1.0, rng.f64() * 2.0 - 1.0),
                         t,
                     );
                     [Update::delete(*id, t, *m), Update::insert(*id, t, moved)]

@@ -20,32 +20,11 @@ use pdr_geometry::Point;
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 use std::collections::BTreeMap;
 
+mod common;
+use common::Lcg;
+
 const EXTENT: f64 = 100.0;
 const IDS: u64 = 40;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn f64(&mut self) -> f64 {
-        self.next() as f64 / (1u64 << 31) as f64
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64() * (hi - lo)
-    }
-}
 
 fn fr_cfg() -> FrConfig {
     FrConfig {

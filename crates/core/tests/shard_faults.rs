@@ -13,24 +13,11 @@ use pdr_core::{DensityEngine, EngineSpec, FaultPlan, FrConfig, PdrQuery, ShardMa
 use pdr_geometry::{Point, Rect};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon};
 
+mod common;
+use common::Lcg;
+
 const EXTENT: f64 = 100.0;
 const L: f64 = 10.0;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (1u64 << 31) as f64
-    }
-
-    fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
-}
 
 fn fr_cfg() -> FrConfig {
     FrConfig {

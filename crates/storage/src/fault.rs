@@ -19,8 +19,9 @@
 //!   never consumed.
 //!
 //! Plans can be built programmatically ([`FaultPlan::new`] +
-//! [`FaultPlan::with_rule`]) or parsed from a small text format
-//! ([`FaultPlan::parse`]), one rule per line:
+//! [`FaultPlan::with_read_fault`] and friends) or parsed from the
+//! [shared plan-file grammar](crate::seeded) ([`FaultPlan::parse`]),
+//! one rule per line:
 //!
 //! ```text
 //! # transient: reads 5..7 (1-based) fail, retries after that succeed
@@ -35,6 +36,7 @@
 //! read prob=0.01 times=4
 //! ```
 
+use crate::seeded::{parse_plan, PlanError, SeededRng, Trigger};
 use crate::{PageId, PAGE_SIZE};
 use std::fmt;
 
@@ -155,15 +157,6 @@ enum FaultOp {
     Write,
 }
 
-/// How often a rule keeps firing once its trigger matches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Budget {
-    /// Fires at most this many times (transient).
-    Count(u64),
-    /// Fires forever (permanent).
-    Permanent,
-}
-
 /// One declarative fault rule. Built through [`FaultPlan`] helpers or
 /// the plan-file parser.
 #[derive(Clone, Debug)]
@@ -171,69 +164,17 @@ struct FaultRule {
     op: FaultOp,
     /// Restrict the rule to one page (otherwise any page matches).
     page: Option<u32>,
-    /// Fire on the Nth matching operation (1-based) and, with a
-    /// `Count(k)` budget, on the k-1 operations after it.
-    nth: Option<u64>,
-    /// Fire on every Nth matching operation.
-    every: Option<u64>,
-    /// Fire with this probability (seeded, deterministic).
-    prob: Option<f64>,
     /// Torn write instead of an error (write rules only).
     torn: bool,
-    budget: Budget,
-    // --- runtime state ---
-    /// Matching operations seen so far.
-    seen: u64,
-    /// Times this rule has fired.
-    fired: u64,
+    trigger: Trigger,
 }
 
 impl FaultRule {
-    /// Decides whether the rule fires for the next matching op.
-    /// Advances `seen` and, when firing, `fired`.
-    fn check(&mut self, page: PageId, rng: &mut u64) -> bool {
-        if let Some(p) = self.page {
-            if p != page.0 {
-                return false;
-            }
-        }
-        self.seen += 1;
-        let armed = match self.budget {
-            Budget::Count(k) => self.fired < k,
-            Budget::Permanent => true,
-        };
-        if !armed {
-            return false;
-        }
-        let hit = if let Some(n) = self.nth {
-            // `times=k` extends the burst to ops n..n+k.
-            match self.budget {
-                Budget::Count(k) => self.seen >= n && self.seen < n + k,
-                Budget::Permanent => self.seen >= n,
-            }
-        } else if let Some(e) = self.every {
-            e > 0 && self.seen.is_multiple_of(e)
-        } else if let Some(p) = self.prob {
-            next_unit(rng) < p
-        } else {
-            // Bare page/op rule: every matching op.
-            true
-        };
-        if hit {
-            self.fired += 1;
-        }
-        hit
+    /// Decides whether the rule fires for the next operation on `page`.
+    /// Operations on other pages do not count towards the trigger.
+    fn check(&mut self, page: PageId, rng: &mut SeededRng) -> bool {
+        self.page.is_none_or(|p| p == page.0) && self.trigger.fire(rng)
     }
-}
-
-/// xorshift64* step returning a uniform draw in `[0, 1)`.
-fn next_unit(state: &mut u64) -> f64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A seeded, declarative schedule of storage faults. Install it on a
@@ -243,12 +184,15 @@ fn next_unit(state: &mut u64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    rng: u64,
+    rng: SeededRng,
 }
+
+/// Seed of plans that do not name one.
+const DEFAULT_SEED: u64 = 0x5EED_CAFE;
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        FaultPlan::new(0x5EED_CAFE)
+        FaultPlan::new(DEFAULT_SEED)
     }
 }
 
@@ -257,8 +201,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             rules: Vec::new(),
-            // xorshift state must be non-zero.
-            rng: seed | 1,
+            rng: SeededRng::new(seed),
         }
     }
 
@@ -272,262 +215,122 @@ impl FaultPlan {
         self.rules.len()
     }
 
-    /// Adds a transient read fault burst: matching reads number
-    /// `nth..nth+times` (1-based) fail; later reads succeed.
-    pub fn with_read_fault(mut self, nth: u64, times: u64) -> Self {
+    fn with_rule(mut self, op: FaultOp, page: Option<u32>, torn: bool, trigger: Trigger) -> Self {
         self.rules.push(FaultRule {
-            op: FaultOp::Read,
-            page: None,
-            nth: Some(nth),
-            every: None,
-            prob: None,
-            torn: false,
-            budget: Budget::Count(times),
-            seen: 0,
-            fired: 0,
+            op,
+            page,
+            torn,
+            trigger,
         });
         self
+    }
+
+    /// Adds a transient read fault burst: matching reads number
+    /// `nth..nth+times` (1-based) fail; later reads succeed.
+    pub fn with_read_fault(self, nth: u64, times: u64) -> Self {
+        self.with_rule(FaultOp::Read, None, false, Trigger::nth(nth, Some(times)))
     }
 
     /// Adds a permanent read fault on one page: every read of `page`
     /// fails forever.
-    pub fn with_permanent_page_fault(mut self, page: u32) -> Self {
-        self.rules.push(FaultRule {
-            op: FaultOp::Read,
-            page: Some(page),
-            nth: None,
-            every: None,
-            prob: None,
-            torn: false,
-            budget: Budget::Permanent,
-            seen: 0,
-            fired: 0,
-        });
-        self
+    pub fn with_permanent_page_fault(self, page: u32) -> Self {
+        self.with_rule(FaultOp::Read, Some(page), false, Trigger::always(None))
     }
 
     /// Adds a permanent read fault on *every* page: the device refuses
     /// all physical reads from the `nth` one on.
-    pub fn with_permanent_read_fault(mut self, nth: u64) -> Self {
-        self.rules.push(FaultRule {
-            op: FaultOp::Read,
-            page: None,
-            nth: Some(nth),
-            every: None,
-            prob: None,
-            torn: false,
-            budget: Budget::Permanent,
-            seen: 0,
-            fired: 0,
-        });
-        self
+    pub fn with_permanent_read_fault(self, nth: u64) -> Self {
+        self.with_rule(FaultOp::Read, None, false, Trigger::nth(nth, None))
     }
 
     /// Adds a transient write fault burst analogous to
     /// [`with_read_fault`](Self::with_read_fault).
-    pub fn with_write_fault(mut self, nth: u64, times: u64) -> Self {
-        self.rules.push(FaultRule {
-            op: FaultOp::Write,
-            page: None,
-            nth: Some(nth),
-            every: None,
-            prob: None,
-            torn: false,
-            budget: Budget::Count(times),
-            seen: 0,
-            fired: 0,
-        });
-        self
+    pub fn with_write_fault(self, nth: u64, times: u64) -> Self {
+        self.with_rule(FaultOp::Write, None, false, Trigger::nth(nth, Some(times)))
     }
 
     /// Adds a torn write: the `nth` matching write (optionally
     /// restricted to `page`) silently persists only its first
     /// [`TORN_WRITE_PREFIX`] bytes.
-    pub fn with_torn_write(mut self, nth: u64, page: Option<u32>) -> Self {
-        self.rules.push(FaultRule {
-            op: FaultOp::Write,
-            page,
-            nth: Some(nth),
-            every: None,
-            prob: None,
-            torn: true,
-            budget: Budget::Count(1),
-            seen: 0,
-            fired: 0,
-        });
-        self
+    pub fn with_torn_write(self, nth: u64, page: Option<u32>) -> Self {
+        self.with_rule(FaultOp::Write, page, true, Trigger::nth(nth, Some(1)))
     }
 
-    /// Parses the plan-file format: one rule per line, `#` comments and
-    /// blank lines ignored. Grammar per line:
+    /// Parses the plan-file format: the [shared grammar](crate::seeded)
+    /// with these head words and one extra key:
     ///
     /// ```text
-    /// seed <u64>
-    /// [torn] read|write [page=<u32>] [nth=<u64>] [every=<u64>] [prob=<f64>]
-    ///        [times=<u64>] [permanent]
+    /// [torn] read|write [page=<u32>] <trigger words>
     /// ```
     ///
-    /// `times` defaults to 1; `permanent` makes the rule fire forever;
-    /// `torn` is only valid on `write` rules.
-    pub fn parse(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        let mut plan = FaultPlan::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
+    /// `page` restricts the rule to one page; operations on other pages
+    /// do not count towards its trigger. `torn` is only valid on
+    /// `write` rules and cannot be `permanent`.
+    pub fn parse(text: &str) -> Result<FaultPlan, PlanError> {
+        let (seed, rules) = parse_plan(text, |words| {
+            let mut head = words.next().unwrap_or_default();
+            let torn = head == "torn";
+            if torn {
+                head = words.next().ok_or("torn needs write")?;
             }
-            let mut words = line.split_whitespace().peekable();
-            let first = words.next().expect("non-empty line has a word");
-            if first == "seed" {
-                let v = words.next().ok_or(FaultPlanError {
-                    line: line_no,
-                    what: "seed needs a value",
-                })?;
-                let seed: u64 = v.parse().map_err(|_| FaultPlanError {
-                    line: line_no,
-                    what: "bad seed value",
-                })?;
-                plan.rng = seed | 1;
-                continue;
-            }
-            let (torn, op_word) = if first == "torn" {
-                let op = words.next().ok_or(FaultPlanError {
-                    line: line_no,
-                    what: "torn needs write",
-                })?;
-                (true, op)
-            } else {
-                (false, first)
-            };
-            let op = match op_word {
+            let op = match head {
                 "read" => FaultOp::Read,
                 "write" => FaultOp::Write,
-                _ => {
-                    return Err(FaultPlanError {
-                        line: line_no,
-                        what: "expected read or write",
-                    })
-                }
+                _ => return Err("expected read or write"),
             };
             if torn && op != FaultOp::Write {
-                return Err(FaultPlanError {
-                    line: line_no,
-                    what: "torn is write-only",
-                });
+                return Err("torn is write-only");
             }
-            let mut rule = FaultRule {
+            let mut page = None;
+            let trigger = Trigger::parse(words, |key, value| match key {
+                "page" => {
+                    page = Some(value.parse().map_err(|_| "bad page value")?);
+                    Ok(())
+                }
+                _ => Err("unknown key"),
+            })?;
+            if torn && trigger.is_permanent() {
+                return Err("torn cannot be permanent");
+            }
+            Ok(FaultRule {
                 op,
-                page: None,
-                nth: None,
-                every: None,
-                prob: None,
+                page,
                 torn,
-                budget: Budget::Count(1),
-                seen: 0,
-                fired: 0,
-            };
-            for word in words {
-                if word == "permanent" {
-                    rule.budget = Budget::Permanent;
-                    continue;
-                }
-                let (key, value) = word.split_once('=').ok_or(FaultPlanError {
-                    line: line_no,
-                    what: "expected key=value",
-                })?;
-                match key {
-                    "page" => {
-                        rule.page = Some(value.parse().map_err(|_| FaultPlanError {
-                            line: line_no,
-                            what: "bad page value",
-                        })?)
-                    }
-                    "nth" => {
-                        rule.nth = Some(value.parse().map_err(|_| FaultPlanError {
-                            line: line_no,
-                            what: "bad nth value",
-                        })?)
-                    }
-                    "every" => {
-                        rule.every = Some(value.parse().map_err(|_| FaultPlanError {
-                            line: line_no,
-                            what: "bad every value",
-                        })?)
-                    }
-                    "prob" => {
-                        let p: f64 = value.parse().map_err(|_| FaultPlanError {
-                            line: line_no,
-                            what: "bad prob value",
-                        })?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(FaultPlanError {
-                                line: line_no,
-                                what: "prob outside [0, 1]",
-                            });
-                        }
-                        rule.prob = Some(p);
-                    }
-                    "times" => {
-                        if rule.budget == Budget::Permanent {
-                            return Err(FaultPlanError {
-                                line: line_no,
-                                what: "times conflicts with permanent",
-                            });
-                        }
-                        rule.budget = Budget::Count(value.parse().map_err(|_| FaultPlanError {
-                            line: line_no,
-                            what: "bad times value",
-                        })?);
-                    }
-                    _ => {
-                        return Err(FaultPlanError {
-                            line: line_no,
-                            what: "unknown key",
-                        })
-                    }
-                }
-            }
-            if torn && rule.budget == Budget::Permanent {
-                return Err(FaultPlanError {
-                    line: line_no,
-                    what: "torn cannot be permanent",
-                });
-            }
-            plan.rules.push(rule);
-        }
-        Ok(plan)
+                trigger,
+            })
+        })?;
+        Ok(FaultPlan {
+            rules,
+            rng: SeededRng::new(seed.unwrap_or(DEFAULT_SEED)),
+        })
     }
 
     /// Consults the plan for a physical read of `page`. `Some(true)`
     /// means a transient fault, `Some(false)` permanent.
     pub(crate) fn check_read(&mut self, page: PageId) -> Option<bool> {
-        let mut rng = self.rng;
         let mut verdict = None;
         for rule in self.rules.iter_mut().filter(|r| r.op == FaultOp::Read) {
-            if rule.check(page, &mut rng) {
-                let transient = rule.budget != Budget::Permanent;
+            if rule.check(page, &mut self.rng) {
+                let transient = !rule.trigger.is_permanent();
                 // Permanent verdicts dominate transient ones.
                 verdict = Some(verdict.unwrap_or(true) && transient);
             }
         }
-        self.rng = rng;
         verdict
     }
 
     /// Consults the plan for a physical write of `page`. Returns what
     /// should happen to the write.
     pub(crate) fn check_write(&mut self, page: PageId) -> WriteVerdict {
-        let mut rng = self.rng;
         let mut verdict = WriteVerdict::Ok;
         for rule in self.rules.iter_mut().filter(|r| r.op == FaultOp::Write) {
-            if rule.check(page, &mut rng) {
+            if rule.check(page, &mut self.rng) {
                 if rule.torn {
                     if verdict == WriteVerdict::Ok {
                         verdict = WriteVerdict::Torn;
                     }
                 } else {
-                    let transient = rule.budget != Budget::Permanent;
+                    let transient = !rule.trigger.is_permanent();
                     verdict = match verdict {
                         WriteVerdict::Fail { transient: t } => WriteVerdict::Fail {
                             transient: t && transient,
@@ -537,7 +340,6 @@ impl FaultPlan {
                 }
             }
         }
-        self.rng = rng;
         verdict
     }
 }
@@ -549,23 +351,6 @@ pub(crate) enum WriteVerdict {
     Torn,
     Fail { transient: bool },
 }
-
-/// Parse error for the plan-file format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultPlanError {
-    /// 1-based line the error was found on.
-    pub line: usize,
-    /// What went wrong.
-    pub what: &'static str,
-}
-
-impl fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault plan line {}: {}", self.line, self.what)
-    }
-}
-
-impl std::error::Error for FaultPlanError {}
 
 /// Compile-time sanity: a torn prefix must fit in a page.
 const _: () = assert!(TORN_WRITE_PREFIX < PAGE_SIZE);
@@ -621,6 +406,8 @@ read prob=0.5 times=1
         assert!(FaultPlan::parse("read nth=x").is_err());
         assert!(FaultPlan::parse("read prob=1.5").is_err());
         assert!(FaultPlan::parse("torn write nth=1 permanent").is_err());
+        assert!(FaultPlan::parse("read nth=1 times=3 permanent").is_err());
+        assert!(FaultPlan::parse("read nth=1 permanent times=3").is_err());
         let err = FaultPlan::parse("read nth=1\nwrite bogus").unwrap_err();
         assert_eq!(err.line, 2);
     }

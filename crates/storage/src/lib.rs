@@ -11,7 +11,10 @@
 //! * [`BufferPool`] — a fixed-capacity page cache with true O(1) LRU
 //!   replacement and write-back of dirty frames;
 //! * [`IoStats`] / [`CostModel`] — accounting that converts misses into
-//!   the paper's milliseconds.
+//!   the paper's milliseconds;
+//! * [`FaultPlan`] and [`seeded`] — seeded fault injection beneath the
+//!   device, and the generator, trigger grammar and backoff that every
+//!   seeded fault and retry path in the workspace shares.
 //!
 //! The TPR-tree stores its nodes through this stack, one node per page,
 //! so its query I/O is measured rather than assumed.
@@ -24,12 +27,14 @@ mod codec;
 mod disk;
 mod fault;
 mod lru;
+pub mod seeded;
 
 pub use buffer::{BufferPool, IoStats};
 pub use codec::{crc32, unzigzag64, zigzag64, ByteReader, ByteWriter, CodecError};
 pub use disk::{Disk, PageId, PAGE_SIZE};
-pub use fault::{FaultPlan, FaultPlanError, FaultStats, StorageError, TORN_WRITE_PREFIX};
+pub use fault::{FaultPlan, FaultStats, StorageError, TORN_WRITE_PREFIX};
 pub use lru::LruList;
+pub use seeded::PlanError;
 
 /// Converts I/O counts into the paper's time units.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -126,11 +126,12 @@
 //! through the protocol.)
 
 use crate::netfault::{FrameFault, NetFaultInjector};
-use crate::serve::{FaultPolicy, ServeDriver};
+use crate::serve::{backoff, FaultPolicy, ServeDriver};
 use pdr_core::{
     AnswerDelta, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError, ShippedSegment, SubId,
 };
 use pdr_geometry::Rect;
+use pdr_storage::seeded::SeededRng;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -1126,7 +1127,7 @@ fn conn_loop(
     local: &io::Result<SocketAddr>,
 ) {
     // Per-connection deterministic jitter stream for fault backoff.
-    let mut rng = (policy.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+    let mut rng = SeededRng::new(policy.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Bounded reads: the 50 ms poll quantum lets the loop observe both
     // the idle/frame deadlines and the shared shutdown flag without a
     // dedicated watchdog thread.
@@ -1193,7 +1194,7 @@ fn dispatch(
     shared: &NetShared,
     policy: &FaultPolicy,
     cfg: &NetServerConfig,
-    rng: &mut u64,
+    rng: &mut SeededRng,
 ) -> (String, bool) {
     let req = match Json::parse(frame) {
         Ok(v) => v,
@@ -1212,7 +1213,7 @@ fn dispatch_op(
     shared: &NetShared,
     policy: &FaultPolicy,
     cfg: &NetServerConfig,
-    rng: &mut u64,
+    rng: &mut SeededRng,
 ) -> (String, bool) {
     let op = req.get("op").and_then(Json::as_str).unwrap_or("");
     match op {
@@ -1468,7 +1469,7 @@ fn serve_sync(
     driver: &RwLock<ServeDriver>,
     shared: &NetShared,
     policy: &FaultPolicy,
-    rng: &mut u64,
+    rng: &mut SeededRng,
 ) -> String {
     let Some(primary) = shared.primary_addr() else {
         return err_json("not a replica front-end");
@@ -1517,7 +1518,7 @@ fn serve_sync(
                          \"attempts\":{attempts}}}"
                     );
                 }
-                backoff_us(policy, attempts, rng);
+                backoff(policy, attempts, rng);
                 continue;
             }
         };
@@ -1550,7 +1551,7 @@ fn serve_sync(
                 if retriable && attempts < policy.max_attempts {
                     force_bootstrap = true;
                     drop(d);
-                    backoff_us(policy, attempts, rng);
+                    backoff(policy, attempts, rng);
                     continue;
                 }
                 return format!(
@@ -1627,7 +1628,7 @@ fn serve_query(
     shared: &NetShared,
     policy: &FaultPolicy,
     cfg: &NetServerConfig,
-    rng: &mut u64,
+    rng: &mut SeededRng,
 ) -> String {
     let (Some(rho), Some(l), Some(q_t)) = (
         req.get("rho").and_then(Json::as_f64),
@@ -1682,7 +1683,7 @@ fn serve_query(
                     match r {
                         Ok(Ok(a)) => break Ok((a, attempt)),
                         Ok(Err(_)) if attempt < policy.max_attempts => {
-                            backoff_us(policy, attempt, rng);
+                            backoff(policy, attempt, rng);
                             attempt += 1;
                         }
                         Ok(Err(e)) => {
@@ -1763,22 +1764,6 @@ fn serve_query(
             resp
         }
     }
-}
-
-/// Seeded jittered exponential backoff (mirrors the serve loop's).
-fn backoff_us(policy: &FaultPolicy, attempt: u32, rng: &mut u64) {
-    let base = policy
-        .backoff_base_us
-        .saturating_mul(1u64 << attempt.min(16));
-    let delay = base.min(policy.backoff_cap_us.max(policy.backoff_base_us));
-    if delay == 0 {
-        return;
-    }
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let x = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    std::thread::sleep(Duration::from_micros(delay / 2 + x % (delay / 2 + 1)));
 }
 
 fn with_client(shared: &NetShared, id: usize, f: impl FnOnce(&mut ClientNetStats)) {

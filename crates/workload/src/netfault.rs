@@ -22,8 +22,10 @@
 //! * **reset conn** / **drop conn** — the connection is shut down
 //!   (instead of the frame being written); the writer sees an error.
 //!
-//! Plans parse from the same one-rule-per-line format as storage fault
-//! plans ([`NetFaultPlan::parse`]):
+//! Plans parse from the one-rule-per-line grammar shared with storage
+//! fault plans (see [`pdr_storage::seeded`]; [`NetFaultPlan::parse`]
+//! adds the head words and `ms=`). Every rule, `conn` rules included,
+//! counts frame writes:
 //!
 //! ```text
 //! # every frame is dropped with p = 0.01 (seeded, deterministic)
@@ -39,7 +41,7 @@
 //! reset conn nth=3
 //! ```
 
-use std::fmt;
+use pdr_storage::seeded::{parse_plan, PlanError, SeededRng, Trigger};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -78,75 +80,14 @@ enum NetFaultScope {
     Conn,
 }
 
-/// How often a rule keeps firing once its trigger matches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Budget {
-    /// Fires at most this many times (transient).
-    Count(u64),
-    /// Fires forever (permanent).
-    Permanent,
-}
-
 /// One declarative network fault rule.
 #[derive(Clone, Debug)]
 struct NetFaultRule {
     kind: NetFaultKind,
     scope: NetFaultScope,
-    /// Fire on the Nth frame write (1-based) and, with a `Count(k)`
-    /// budget, on the k-1 writes after it.
-    nth: Option<u64>,
-    /// Fire on every Nth frame write.
-    every: Option<u64>,
-    /// Fire with this probability (seeded, deterministic).
-    prob: Option<f64>,
     /// Delay in milliseconds (`delay` rules only).
     ms: u64,
-    budget: Budget,
-    // --- runtime state ---
-    seen: u64,
-    fired: u64,
-}
-
-impl NetFaultRule {
-    /// Decides whether the rule fires for the next frame write,
-    /// mirroring the storage `FaultRule::check` semantics.
-    fn check(&mut self, rng: &mut u64) -> bool {
-        self.seen += 1;
-        let armed = match self.budget {
-            Budget::Count(k) => self.fired < k,
-            Budget::Permanent => true,
-        };
-        if !armed {
-            return false;
-        }
-        let hit = if let Some(n) = self.nth {
-            match self.budget {
-                Budget::Count(k) => self.seen >= n && self.seen < n + k,
-                Budget::Permanent => self.seen >= n,
-            }
-        } else if let Some(e) = self.every {
-            e > 0 && self.seen.is_multiple_of(e)
-        } else if let Some(p) = self.prob {
-            next_unit(rng) < p
-        } else {
-            true
-        };
-        if hit {
-            self.fired += 1;
-        }
-        hit
-    }
-}
-
-/// xorshift64* step returning a uniform draw in `[0, 1)` (the same
-/// generator the storage fault plan uses).
-fn next_unit(state: &mut u64) -> f64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    trigger: Trigger,
 }
 
 /// A seeded, declarative schedule of network faults. Wrap it in a
@@ -155,12 +96,15 @@ fn next_unit(state: &mut u64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct NetFaultPlan {
     rules: Vec<NetFaultRule>,
-    rng: u64,
+    rng: SeededRng,
 }
+
+/// Seed of plans that do not name one.
+const DEFAULT_SEED: u64 = 0x0C4A_05FE;
 
 impl Default for NetFaultPlan {
     fn default() -> Self {
-        NetFaultPlan::new(0x0C4A_05FE)
+        NetFaultPlan::new(DEFAULT_SEED)
     }
 }
 
@@ -169,8 +113,7 @@ impl NetFaultPlan {
     pub fn new(seed: u64) -> Self {
         NetFaultPlan {
             rules: Vec::new(),
-            // xorshift state must be non-zero.
-            rng: seed | 1,
+            rng: SeededRng::new(seed),
         }
     }
 
@@ -184,52 +127,30 @@ impl NetFaultPlan {
         self.rules.len()
     }
 
-    /// Parses the plan-file format: one rule per line, `#` comments and
-    /// blank lines ignored. Grammar per line:
+    /// Parses the plan-file format: the shared grammar of
+    /// [`pdr_storage::seeded`] with these head words and one extra key:
     ///
     /// ```text
-    /// seed <u64>
-    /// drop|delay|duplicate|truncate|reset frame|conn
-    ///     [nth=<u64>] [every=<u64>] [prob=<f64>] [ms=<u64>]
-    ///     [times=<u64>] [permanent]
+    /// drop|delay|duplicate|truncate|reset frame|conn [ms=<u64>] <trigger words>
     /// ```
     ///
-    /// `times` defaults to 1; `permanent` makes the rule fire forever.
     /// `ms` is required for `delay` and invalid elsewhere. `delay`,
     /// `duplicate` and `truncate` only make sense per-frame; `reset`
     /// only per-connection; `drop` takes either scope.
-    pub fn parse(text: &str) -> Result<NetFaultPlan, NetFaultPlanError> {
-        let mut plan = NetFaultPlan::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let err = |what: &'static str| NetFaultPlanError {
-                line: line_no,
-                what,
-            };
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            let first = words.next().expect("non-empty line has a word");
-            if first == "seed" {
-                let v = words.next().ok_or(err("seed needs a value"))?;
-                let seed: u64 = v.parse().map_err(|_| err("bad seed value"))?;
-                plan.rng = seed | 1;
-                continue;
-            }
-            let kind = match first {
+    pub fn parse(text: &str) -> Result<NetFaultPlan, PlanError> {
+        let (seed, rules) = parse_plan(text, |words| {
+            let kind = match words.next().unwrap_or_default() {
                 "drop" => NetFaultKind::Drop,
                 "delay" => NetFaultKind::Delay,
                 "duplicate" => NetFaultKind::Duplicate,
                 "truncate" => NetFaultKind::Truncate,
                 "reset" => NetFaultKind::Reset,
-                _ => return Err(err("expected drop, delay, duplicate, truncate or reset")),
+                _ => return Err("expected drop, delay, duplicate, truncate or reset"),
             };
             let scope = match words.next() {
                 Some("frame") => NetFaultScope::Frame,
                 Some("conn") => NetFaultScope::Conn,
-                _ => return Err(err("expected frame or conn after the fault kind")),
+                _ => return Err("expected frame or conn after the fault kind"),
             };
             match (kind, scope) {
                 (NetFaultKind::Drop, _) => {}
@@ -238,78 +159,47 @@ impl NetFaultPlan {
                     NetFaultScope::Frame,
                 ) => {}
                 (NetFaultKind::Reset, NetFaultScope::Conn) => {}
-                (NetFaultKind::Reset, NetFaultScope::Frame) => {
-                    return Err(err("reset is conn-only"))
-                }
+                (NetFaultKind::Reset, NetFaultScope::Frame) => return Err("reset is conn-only"),
                 (_, NetFaultScope::Conn) => {
-                    return Err(err("delay, duplicate and truncate are frame-only"))
+                    return Err("delay, duplicate and truncate are frame-only")
                 }
             }
-            let mut rule = NetFaultRule {
+            let mut ms = 0;
+            let trigger = Trigger::parse(words, |key, value| match key {
+                "ms" => {
+                    ms = value.parse().map_err(|_| "bad ms value")?;
+                    Ok(())
+                }
+                _ => Err("unknown key"),
+            })?;
+            if kind == NetFaultKind::Delay && ms == 0 {
+                return Err("delay needs ms=<positive>");
+            }
+            if kind != NetFaultKind::Delay && ms != 0 {
+                return Err("ms is delay-only");
+            }
+            Ok(NetFaultRule {
                 kind,
                 scope,
-                nth: None,
-                every: None,
-                prob: None,
-                ms: 0,
-                budget: Budget::Count(1),
-                seen: 0,
-                fired: 0,
-            };
-            let mut times_set = false;
-            for word in words {
-                if word == "permanent" {
-                    if times_set {
-                        return Err(err("times conflicts with permanent"));
-                    }
-                    rule.budget = Budget::Permanent;
-                    continue;
-                }
-                let (key, value) = word.split_once('=').ok_or(err("expected key=value"))?;
-                match key {
-                    "nth" => rule.nth = Some(value.parse().map_err(|_| err("bad nth value"))?),
-                    "every" => {
-                        rule.every = Some(value.parse().map_err(|_| err("bad every value"))?)
-                    }
-                    "prob" => {
-                        let p: f64 = value.parse().map_err(|_| err("bad prob value"))?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(err("prob outside [0, 1]"));
-                        }
-                        rule.prob = Some(p);
-                    }
-                    "ms" => rule.ms = value.parse().map_err(|_| err("bad ms value"))?,
-                    "times" => {
-                        if rule.budget == Budget::Permanent {
-                            return Err(err("times conflicts with permanent"));
-                        }
-                        times_set = true;
-                        rule.budget =
-                            Budget::Count(value.parse().map_err(|_| err("bad times value"))?);
-                    }
-                    _ => return Err(err("unknown key")),
-                }
-            }
-            if kind == NetFaultKind::Delay && rule.ms == 0 {
-                return Err(err("delay needs ms=<positive>"));
-            }
-            if kind != NetFaultKind::Delay && rule.ms != 0 {
-                return Err(err("ms is delay-only"));
-            }
-            plan.rules.push(rule);
-        }
-        Ok(plan)
+                ms,
+                trigger,
+            })
+        })?;
+        Ok(NetFaultPlan {
+            rules,
+            rng: SeededRng::new(seed.unwrap_or(DEFAULT_SEED)),
+        })
     }
 
-    /// Consults the plan for the next frame write. When several rules
-    /// fire for the same frame the most destructive action wins
+    /// Consults the plan for the next frame write. Every rule, `conn`
+    /// rules included, counts frame writes. When several rules fire for
+    /// the same frame the most destructive action wins
     /// (reset > truncate > drop > duplicate > delay); every firing
     /// rule advances its own budget either way.
     pub fn check_frame(&mut self) -> FrameFault {
-        let mut rng = self.rng;
         let mut verdict = FrameFault::Deliver;
         for rule in &mut self.rules {
-            if !rule.check(&mut rng) {
+            if !rule.trigger.fire(&mut self.rng) {
                 continue;
             }
             let action = match (rule.kind, rule.scope) {
@@ -325,7 +215,6 @@ impl NetFaultPlan {
                 verdict = action;
             }
         }
-        self.rng = rng;
         verdict
     }
 }
@@ -340,23 +229,6 @@ fn severity(a: FrameFault) -> u8 {
         FrameFault::Reset => 5,
     }
 }
-
-/// Parse error for the plan-file format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetFaultPlanError {
-    /// 1-based line the error was found on.
-    pub line: usize,
-    /// What went wrong.
-    pub what: &'static str,
-}
-
-impl fmt::Display for NetFaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "net fault plan line {}: {}", self.line, self.what)
-    }
-}
-
-impl std::error::Error for NetFaultPlanError {}
 
 /// Counters for network faults the injector actually fired, surfaced
 /// through the serve `metrics` op and client summaries.
@@ -508,6 +380,7 @@ drop conn nth=9
         assert!(NetFaultPlan::parse("drop frame ms=5").is_err());
         assert!(NetFaultPlan::parse("drop frame prob=1.5").is_err());
         assert!(NetFaultPlan::parse("drop frame times=2 permanent").is_err());
+        assert!(NetFaultPlan::parse("drop frame permanent times=2").is_err());
         let err = NetFaultPlan::parse("drop frame\nreset frame").unwrap_err();
         assert_eq!(err.line, 2);
     }

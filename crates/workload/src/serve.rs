@@ -30,6 +30,7 @@ use pdr_core::{
 };
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
+use pdr_storage::seeded::{backoff_delay, SeededRng};
 use pdr_storage::{CostModel, FaultPlan, FaultStats, IoStats};
 use std::time::{Duration, Instant};
 
@@ -524,11 +525,11 @@ pub struct ServeDriver {
     tick_query: Histogram,
     policy: FaultPolicy,
     journal: Option<Journal>,
-    rng: u64,
+    rng: SeededRng,
     clients: Vec<ClientStats>,
     /// Deterministic generator for subscription regions (xorshift64*,
     /// seeded from the fault-policy seed so runs replay identically).
-    sub_rng: u64,
+    sub_rng: SeededRng,
     /// Subscriptions created so far — cycles the mix specs so every
     /// engine registers the identical sequence.
     sub_seq: u64,
@@ -563,9 +564,9 @@ impl ServeDriver {
             tick_query: Histogram::new(),
             policy,
             journal: None,
-            rng: policy.seed | 1,
+            rng: SeededRng::new(policy.seed),
             clients: Vec::new(),
-            sub_rng: (policy.seed ^ 0x5B5C_9A71) | 1,
+            sub_rng: SeededRng::new(policy.seed ^ 0x5B5C_9A71),
             sub_seq: 0,
             pending_deltas: Vec::new(),
             delta_feed: false,
@@ -582,7 +583,7 @@ impl ServeDriver {
     /// Sets the fault-handling policy (builder style).
     pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
-        self.rng = policy.seed | 1;
+        self.rng = SeededRng::new(policy.seed);
         self
     }
 
@@ -908,12 +909,7 @@ impl ServeDriver {
         let offset = spec.q_t.saturating_sub(mix.anchor);
         self.sub_seq += 1;
         let bounds = self.bounds();
-        let mut draw = || {
-            self.sub_rng ^= self.sub_rng << 13;
-            self.sub_rng ^= self.sub_rng >> 7;
-            self.sub_rng ^= self.sub_rng << 17;
-            (self.sub_rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as f64 / (1u64 << 31) as f64
-        };
+        let mut draw = || (self.sub_rng.next_u64() >> 33) as f64 / (1u64 << 31) as f64;
         let region = if self.sub_seq.is_multiple_of(3) {
             bounds
         } else {
@@ -1228,22 +1224,11 @@ impl ServeDriver {
     }
 }
 
-/// Seeded jittered exponential backoff before retry `attempt`
-/// (xorshift64*, the same generator family the fault plan uses).
-fn backoff(policy: &FaultPolicy, attempt: u32, rng: &mut u64) {
-    let base = policy
-        .backoff_base_us
-        .saturating_mul(1u64 << attempt.min(16));
-    let delay = base.min(policy.backoff_cap_us.max(policy.backoff_base_us));
-    if delay == 0 {
-        return;
-    }
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let x = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let jittered = delay / 2 + x % (delay / 2 + 1);
-    std::thread::sleep(Duration::from_micros(jittered));
+/// Sleeps the policy's seeded jittered exponential backoff before
+/// retry `attempt`.
+pub(crate) fn backoff(policy: &FaultPolicy, attempt: u32, rng: &mut SeededRng) {
+    let d = backoff_delay(policy.backoff_base_us, policy.backoff_cap_us, attempt, rng);
+    std::thread::sleep(d);
 }
 
 /// Restores `s` from its latest checkpoint and replays the WAL tail,
@@ -1335,7 +1320,7 @@ fn serve_with_faults(
     q: &PdrQuery,
     policy: &FaultPolicy,
     wal: Option<&Wal>,
-    rng: &mut u64,
+    rng: &mut SeededRng,
 ) -> EngineAnswer {
     if s.degraded_mode {
         return degrade(s, q);
