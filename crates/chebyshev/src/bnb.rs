@@ -118,7 +118,7 @@ pub fn superlevel_set<F: BoundedField>(
     let mut out = RegionSet::new();
     let mut stats = BnbStats::default();
     recurse(field, tau, cfg, &field.domain(), &mut out, &mut stats);
-    out.coalesce();
+    out.canonicalize();
     (out, stats)
 }
 

@@ -116,7 +116,7 @@ impl PolyGrid {
             stats += s;
             out.extend_from(&r);
         }
-        out.coalesce();
+        out.canonicalize();
         (out, stats)
     }
 

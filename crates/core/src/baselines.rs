@@ -36,7 +36,7 @@ pub fn dense_cell_query(positions: &[Point], grid: GridSpec, rho: f64) -> Region
             rs.push(grid.cell_rect(cell));
         }
     }
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 
@@ -114,7 +114,7 @@ pub fn edq_region(squares: &[EdqSquare], l: f64) -> RegionSet {
         .iter()
         .map(|s| Rect::centered_square(s.center, l))
         .collect();
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 

@@ -25,7 +25,7 @@ pub fn dh_optimistic(cls: &Classification) -> RegionSet {
         .chain(cls.cells_of(CellClass::Candidate))
         .map(|c| grid.cell_rect(c))
         .collect();
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 
@@ -36,7 +36,7 @@ pub fn dh_pessimistic(cls: &Classification) -> RegionSet {
         .cells_of(CellClass::Accept)
         .map(|c| grid.cell_rect(c))
         .collect();
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 

@@ -44,10 +44,6 @@ use pdr_storage::{CostModel, FaultPlan, FaultStats, IoStats, StorageError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Coalesce cadence for the default interval-query implementation
-/// (mirrors [`INTERVAL_COALESCE_EVERY`](crate::INTERVAL_COALESCE_EVERY)).
-const DEFAULT_INTERVAL_COALESCE_EVERY: u32 = 4;
-
 /// One engine's answer to a PDR query, in units every method shares.
 #[derive(Clone, Debug)]
 pub struct EngineAnswer {
@@ -176,23 +172,14 @@ pub trait DensityEngine: Send + Sync {
         FaultStats::default()
     }
 
-    /// The union of snapshot answers over `from..=to` (Definition 5).
-    /// The default evaluates each timestamp through
-    /// [`query`](Self::query); engines with incremental interval plans
-    /// override it.
+    /// The union of snapshot answers over `from..=to` (Definition 5),
+    /// in canonical form. The default evaluates each timestamp through
+    /// [`query`](Self::query) and canonicalizes once, at the end;
+    /// engines with incremental interval plans override it.
     fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
         let mut acc = RegionSet::new();
-        let mut since_coalesce = 0u32;
         for t in from..=to {
-            let ans = self.query(&PdrQuery::new(rho, l, t));
-            for r in ans.regions.rects() {
-                acc.push(*r);
-            }
-            since_coalesce += 1;
-            if since_coalesce >= DEFAULT_INTERVAL_COALESCE_EVERY {
-                acc.canonicalize();
-                since_coalesce = 0;
-            }
+            acc.extend_from(&self.query(&PdrQuery::new(rho, l, t)).regions);
         }
         acc.canonicalize();
         acc
@@ -401,10 +388,6 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
 
     fn fault_stats(&self) -> FaultStats {
         FrEngine::fault_stats(self)
-    }
-
-    fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
-        FrEngine::interval_query(self, rho, l, from, to)
     }
 
     fn stats(&self) -> EngineStats {

@@ -26,7 +26,7 @@ pub fn exact_dense_regions(objects: &[Point], bounds: &Rect, query: &PdrQuery) -
         .filter(|p| inflated.contains(*p))
         .collect();
     let mut rs = RegionSet::from_rects(refine_region(bounds, &mut relevant, threshold, query.l));
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 

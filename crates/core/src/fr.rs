@@ -132,7 +132,7 @@ impl ClassificationCache {
 }
 
 /// FR-side instrumentation: per-stage latency (filter classification,
-/// per-cell range queries, plane sweeps, final merge/coalesce) and cell
+/// per-cell range queries, plane sweeps, final canonical merge) and cell
 /// accounting. Histograms record through `&self` with atomics, so the
 /// refinement workers — which share the engine across scoped threads —
 /// feed the same histograms without synchronization beyond the atomic
@@ -637,9 +637,9 @@ impl<I: RangeIndex> FrEngine<I> {
                     regions.push(r);
                 }
             }
-            // Canonical (exact) compaction, not the ε-tolerant coalesce:
-            // the exact answer must be a pure function of the dense point
-            // set so that a sharded plane reproduces it rect-for-rect.
+            // Canonical (exact) compaction: the exact answer must be a
+            // pure function of the dense point set so that a sharded
+            // plane reproduces it rect-for-rect.
             regions.canonicalize();
         }
         self.obs.queries.inc();
@@ -661,7 +661,7 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 
     /// Filter-only degraded answer for `q`: the optimistic DH answer
-    /// (accept ∪ candidate cells, coalesced) computed purely from the
+    /// (accept ∪ candidate cells, canonicalized) computed purely from the
     /// in-memory histogram. Never touches the index, so it succeeds even
     /// when the storage plane is persistently failing. The answer is a
     /// superset of the exact one (no false negatives) but may include
@@ -679,39 +679,6 @@ impl<I: RangeIndex> FrEngine<I> {
             io: IoStats::default(),
             cpu: start.elapsed(),
         }
-    }
-
-    /// Interval PDR query (Definition 5): the union of snapshot answers
-    /// over `q_t ∈ [from, to]`.
-    ///
-    /// Snapshot rectangles accumulate in one reused scratch buffer and
-    /// are folded into the result with an incremental coalesce every
-    /// [`INTERVAL_COALESCE_EVERY`] timestamps, keeping the working set
-    /// proportional to a few snapshots instead of the whole interval.
-    /// The per-timestamp classification cache makes the repeated filter
-    /// passes O(1) after the first visit of each timestamp.
-    pub fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
-        assert!(from <= to, "empty interval");
-        let mut out = RegionSet::new();
-        let mut scratch: Vec<Rect> = Vec::new();
-        let mut pending = 0u32;
-        for t in from..=to {
-            let ans = self.query(&PdrQuery::new(rho, l, t));
-            scratch.extend_from_slice(ans.regions.rects());
-            pending += 1;
-            if pending == INTERVAL_COALESCE_EVERY {
-                for r in scratch.drain(..) {
-                    out.push(r);
-                }
-                out.canonicalize();
-                pending = 0;
-            }
-        }
-        for r in scratch.drain(..) {
-            out.push(r);
-        }
-        out.canonicalize();
-        out
     }
 
     /// Serializes the engine's durable state into a sealed, checksummed
@@ -994,12 +961,6 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 }
 
-/// How many snapshots an interval query buffers before folding them
-/// into the running union: large enough to amortize the coalesce, small
-/// enough that the scratch buffer never holds more than a handful of
-/// snapshots' rectangles.
-pub const INTERVAL_COALESCE_EVERY: u32 = 4;
-
 /// One refinement's yield: each cell's dense rectangles, keyed by
 /// linear cell index and in cell order (the subscription group cache
 /// reuses them per cell while the cell stays clean), the objects
@@ -1057,7 +1018,7 @@ fn refine_cells<I: RangeIndex>(
 mod tests {
     use super::*;
     use crate::test_rng::Lcg;
-    use crate::{accuracy, ExactOracle};
+    use crate::{accuracy, DensityEngine, ExactOracle};
     use pdr_geometry::Rect;
 
     fn cfg() -> FrConfig {

@@ -93,7 +93,7 @@ pub use engine::{
 pub use exact::{exact_dense_regions, point_density, ExactOracle};
 pub use exec::Executor;
 pub use filter::{classify_cells, CellClass, Classification};
-pub use fr::{FrAnswer, FrCacheCounters, FrConfig, FrEngine, INTERVAL_COALESCE_EVERY};
+pub use fr::{FrAnswer, FrCacheCounters, FrConfig, FrEngine};
 pub use index::RangeIndex;
 pub use metrics::{accuracy, Accuracy, Scoreboard};
 pub use obs::{Counter, Histogram, HistogramSnapshot, ObsReport, StageTimer};

@@ -317,7 +317,7 @@ impl PaEngine {
                 }
             }
         }
-        regions.coalesce();
+        regions.canonicalize();
         PaAnswer {
             regions,
             bound_evals: evals,
@@ -488,7 +488,7 @@ impl PaEngine {
         for t in from..=to {
             out.extend_from(&self.query(rho, t).regions);
         }
-        out.coalesce();
+        out.canonicalize();
         out
     }
 }

@@ -31,14 +31,33 @@ use pdr_geometry::{Point, Rect, RegionSet};
 /// Borrowing callers go through [`refine_region_set`], which pays the
 /// one copy explicitly.
 ///
-/// Returns half-open `[lo, hi)` rectangles, not yet coalesced (callers
-/// merging several cells coalesce once at the end).
+/// Returns half-open `[lo, hi)` rectangles, one per maximal dense
+/// Y-run of each X band between consecutive stopping events. Runs of
+/// neighbouring bands are not joined: callers merging several cells
+/// canonicalize once at the end.
 pub fn refine_region(
     target: &Rect,
     objects: &mut [Point],
     threshold: DenseThreshold,
     l: f64,
 ) -> Vec<Rect> {
+    refine_bands(target, objects, threshold, l, sweep_y)
+}
+
+/// The X band sweep of [`refine_region`] (Algorithm 2). For every band
+/// `[x0, x1)` that holds enough objects it calls `sweep_band` with the
+/// members' sorted Y coordinates, which pushes the band's dense
+/// rectangles.
+fn refine_bands<F>(
+    target: &Rect,
+    objects: &mut [Point],
+    threshold: DenseThreshold,
+    l: f64,
+    sweep_band: F,
+) -> Vec<Rect>
+where
+    F: Fn(&Rect, &[f64], DenseThreshold, f64, f64, f64, &mut Vec<Rect>),
+{
     assert!(l > 0.0, "edge length must be positive");
     let mut out = Vec::new();
     if target.is_degenerate() {
@@ -97,12 +116,13 @@ pub fn refine_region(
         band.clear();
         band.extend(members.iter().map(|p| p.y));
         band.sort_by(f64::total_cmp);
-        sweep_y(target, &band, threshold, half, x0, x1, &mut out);
+        sweep_band(target, &band, threshold, half, x0, x1, &mut out);
     }
     out
 }
 
-/// The inner `l`-square sweep along Y (Algorithm 3) for one X band.
+/// The inner `l`-square sweep along Y (Algorithm 3) for one X band,
+/// emitting one rectangle per maximal run of dense segments.
 fn sweep_y(
     target: &Rect,
     ys: &[f64],
@@ -127,6 +147,8 @@ fn sweep_y(
 
     let mut lo = 0;
     let mut hi = 0;
+    // The dense run being extended, pushed when a gap ends it.
+    let mut run: Option<(f64, f64)> = None;
     for w in events.windows(2) {
         let (y0, y1) = (w[0], w[1]);
         if y1 <= y0 {
@@ -142,13 +164,24 @@ fn sweep_y(
         while hi < ys.len() && ys[hi] <= mid + half {
             hi += 1;
         }
-        if threshold.met_by(hi - lo) {
-            out.push(Rect::new(x0, y0, x1, y1));
+        if !threshold.met_by(hi - lo) {
+            continue;
         }
+        match &mut run {
+            Some(r) if r.1 == y0 => r.1 = y1,
+            _ => {
+                if let Some((a, b)) = run.replace((y0, y1)) {
+                    out.push(Rect::new(x0, a, x1, b));
+                }
+            }
+        }
+    }
+    if let Some((a, b)) = run {
+        out.push(Rect::new(x0, a, x1, b));
     }
 }
 
-/// Convenience wrapper over borrowed positions returning a coalesced
+/// Convenience wrapper over borrowed positions returning a canonical
 /// [`RegionSet`]. This is the one place that copies the slice.
 pub fn refine_region_set(
     target: &Rect,
@@ -158,7 +191,7 @@ pub fn refine_region_set(
 ) -> RegionSet {
     let mut owned = objects.to_vec();
     let mut rs = RegionSet::from_rects(refine_region(target, &mut owned, threshold, l));
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 
@@ -166,6 +199,7 @@ pub fn refine_region_set(
 mod tests {
     use super::*;
     use crate::exact::point_density;
+    use crate::test_rng::Lcg;
     use pdr_geometry::LSquare;
 
     fn thresh(k: f64) -> DenseThreshold {
@@ -426,5 +460,125 @@ mod tests {
         // The union of the two offset squares is a staircase, not a
         // plain rectangle: its area is strictly below the bbox area.
         assert!(rs.area() < bb.area() - 1e-9);
+    }
+
+    /// The Y sweep before maximal runs: one rectangle per dense
+    /// elementary segment.
+    fn sweep_y_segments(
+        target: &Rect,
+        ys: &[f64],
+        threshold: DenseThreshold,
+        half: f64,
+        x0: f64,
+        x1: f64,
+        out: &mut Vec<Rect>,
+    ) {
+        let mut events = vec![target.y_lo, target.y_hi];
+        for &y in ys {
+            for e in [y - half, y + half] {
+                if e > target.y_lo && e < target.y_hi {
+                    events.push(e);
+                }
+            }
+        }
+        events.sort_by(f64::total_cmp);
+        events.dedup();
+        for w in events.windows(2) {
+            let (y0, y1) = (w[0], w[1]);
+            let mid = 0.5 * (y0 + y1);
+            let n = ys
+                .iter()
+                .filter(|&&y| mid - half < y && y <= mid + half)
+                .count();
+            if y1 > y0 && threshold.met_by(n) {
+                out.push(Rect::new(x0, y0, x1, y1));
+            }
+        }
+    }
+
+    /// A candidate cell and the objects around it, built to put sweep
+    /// events on top of each other: coincident objects, objects on cell
+    /// edges and objects exactly l/2 or l from another one, on a grid at
+    /// the cell-edge limit (pitch = l/2) of a dyadic and a non-dyadic l.
+    fn adversarial_scene(rng: &mut Lcg, case: usize) -> (Rect, Vec<Point>, f64) {
+        let l = if case.is_multiple_of(2) {
+            10.0
+        } else {
+            2000.0 / 30.0
+        };
+        let pitch = l / 2.0;
+        let (i, j) = (rng.below(4) as f64, rng.below(4) as f64);
+        let target = Rect::new(i * pitch, j * pitch, (i + 1.0) * pitch, (j + 1.0) * pitch);
+        let area = target.inflate(pitch);
+        let mut objects: Vec<Point> = Vec::new();
+        for _ in 0..(4 + rng.below(40)) {
+            let fresh = Point::new(
+                rng.in_range(area.x_lo, area.x_hi),
+                rng.in_range(area.y_lo, area.y_hi),
+            );
+            let p = match (objects.last().copied(), rng.below(6)) {
+                (Some(q), 0) => q,
+                (Some(q), 1) => Point::new(q.x + pitch, q.y),
+                (Some(q), 2) => Point::new(q.x, q.y - pitch),
+                (Some(q), 3) => Point::new(q.x + l, q.y + pitch),
+                (_, 4) => Point::new(
+                    (fresh.x / pitch).round() * pitch,
+                    (fresh.y / pitch).round() * pitch,
+                ),
+                _ => fresh,
+            };
+            objects.push(p);
+        }
+        (target, objects, l)
+    }
+
+    #[test]
+    fn maximal_runs_canonicalize_like_per_segment_output() {
+        let mut rng = Lcg(0x5EED_0015);
+        for case in 0..1500 {
+            let (target, objects, l) = adversarial_scene(&mut rng, case);
+            let threshold = thresh(1.0 + rng.below(6) as f64);
+            let runs = refine_bands(&target, &mut objects.clone(), threshold, l, sweep_y);
+            let segments = refine_bands(
+                &target,
+                &mut objects.clone(),
+                threshold,
+                l,
+                sweep_y_segments,
+            );
+            assert!(runs.len() <= segments.len());
+
+            // Within one X band the runs are disjoint and never abut.
+            let mut by_band = runs.clone();
+            by_band.sort_by(|a, b| {
+                (a.x_lo.total_cmp(&b.x_lo))
+                    .then(a.x_hi.total_cmp(&b.x_hi))
+                    .then(a.y_lo.total_cmp(&b.y_lo))
+            });
+            for w in by_band.windows(2) {
+                if w[0].x_lo == w[1].x_lo && w[0].x_hi == w[1].x_hi {
+                    assert!(
+                        w[0].y_hi < w[1].y_lo,
+                        "case {case}: {:?} meets {:?}",
+                        w[0],
+                        w[1]
+                    );
+                }
+            }
+
+            let canonical = |rects: Vec<Rect>| {
+                let mut rs = RegionSet::from_rects(rects);
+                rs.canonicalize();
+                rs.rects()
+                    .iter()
+                    .map(|r| [r.x_lo, r.y_lo, r.x_hi, r.y_hi].map(f64::to_bits))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                canonical(runs),
+                canonical(segments),
+                "case {case}: {objects:?}"
+            );
+        }
     }
 }

@@ -24,8 +24,8 @@ use std::fmt;
 /// The representation is a plain list of rectangles — possibly
 /// overlapping, possibly abutting. All measure operations are computed on
 /// the *union*, so duplicates and overlaps are harmless for correctness;
-/// [`coalesce`](RegionSet::coalesce) can be used to compact long strips
-/// produced by the plane-sweep refinement.
+/// [`canonicalize`](RegionSet::canonicalize) compacts the list into the
+/// one disjoint decomposition that depends only on the point set.
 #[derive(Clone, Default, PartialEq)]
 pub struct RegionSet {
     rects: Vec<Rect>,
@@ -109,51 +109,44 @@ impl RegionSet {
         self.difference_area(other) + other.difference_area(self)
     }
 
-    /// Merges vertically-abutting rectangles that share the same X extent,
-    /// then horizontally-abutting ones sharing the same Y extent. The
-    /// plane-sweep refinement emits one rectangle per (x-strip, y-segment)
-    /// pair; coalescing typically shrinks its output by an order of
-    /// magnitude without changing the point set.
-    pub fn coalesce(&mut self) {
-        merge_axis(&mut self.rects, /*vertical=*/ true);
-        merge_axis(&mut self.rects, /*vertical=*/ false);
-    }
-
     /// Rewrites the set into its *canonical maximal-slab decomposition*:
     /// disjoint rectangles, each spanning a maximal X-run over which the
     /// union's Y-cross-section is one fixed maximal interval, sorted by
     /// `(x_lo, y_lo)`.
     ///
     /// The result depends only on the union **as a point set** — not on
-    /// how it was cut into rectangles. This is the property the sharded
-    /// engine plane relies on: [`coalesce`](RegionSet::coalesce) is *not*
-    /// confluent under re-cutting (merging cells `[0,1]×[0,1]`,
-    /// `[1,2]×[0,1]`, `[1,2]×[1,2]` vertically-first joins a different
-    /// pair depending on which shard cut separated them), whereas two
-    /// canonicalized sets covering the same points are bit-identical
-    /// rectangle lists. All comparisons are exact (`f64::total_cmp`), no
+    /// how it was cut into rectangles — so two canonicalized sets covering
+    /// the same points are bit-identical rectangle lists. The sharded
+    /// engine plane relies on this to reproduce the unsharded answer
+    /// whatever its cuts. All comparisons are exact (`f64::total_cmp`), no
     /// epsilon: shards hand back coordinates copied from the same
     /// arithmetic the unsharded engine performs.
+    ///
+    /// An event sweep over the distinct X coordinates: rectangles enter
+    /// and leave an active list once each, every slab merges the active
+    /// Y-spans into maximal runs, and a merge-join on `y_lo` carries each
+    /// run that continues unchanged from the previous slab. The cost is
+    /// O(n log n) plus the active spans summed over slabs.
     pub fn canonicalize(&mut self) {
+        let by_x_then_y =
+            |a: &Rect, b: &Rect| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo));
         self.rects.retain(|r| !r.is_degenerate());
         if self.rects.len() < 2 {
-            self.rects
-                .sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
+            self.rects.sort_by(by_x_then_y);
             return;
         }
-        let mut xs: Vec<f64> = Vec::with_capacity(2 * self.rects.len());
-        for r in &self.rects {
-            xs.push(r.x_lo);
-            xs.push(r.x_hi);
-        }
+        let mut xs: Vec<f64> = self.rects.iter().flat_map(|r| [r.x_lo, r.x_hi]).collect();
         xs.sort_by(f64::total_cmp);
         xs.dedup_by(|a, b| a.total_cmp(b).is_eq());
 
+        let mut active = Active::new(&self.rects);
         let mut out: Vec<Rect> = Vec::new();
         // Rectangles still extendable rightward (their y-run persisted
-        // through the previous slab).
+        // through the previous slab), sorted by `y_lo`.
         let mut open: Vec<Rect> = Vec::new();
+        let mut next_open: Vec<Rect> = Vec::new();
         let mut spans: Vec<(f64, f64)> = Vec::new();
+        let mut runs: Vec<(f64, f64)> = Vec::new();
         for w in xs.windows(2) {
             let (x0, x1) = (w[0], w[1]);
             if x0 >= x1 {
@@ -161,14 +154,9 @@ impl RegionSet {
             }
             // Maximal disjoint Y-runs of the union inside this slab.
             spans.clear();
-            spans.extend(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x_lo <= x0 && x0 < r.x_hi)
-                    .map(|r| (r.y_lo, r.y_hi)),
-            );
+            spans.extend(active.at(x0).map(|r| (r.y_lo, r.y_hi)));
             spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-            let mut runs: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
+            runs.clear();
             for &(lo, hi) in &spans {
                 match runs.last_mut() {
                     // Half-open semantics: overlapping *or* abutting runs merge.
@@ -176,27 +164,29 @@ impl RegionSet {
                     _ => runs.push((lo, hi)),
                 }
             }
-            // Extend a surviving identical run across the slab boundary,
+            // Both `runs` and `open` are disjoint and ascending in y:
+            // extend an identical run across the slab boundary,
             // otherwise open a fresh rectangle; unmatched leftovers close.
-            let mut next_open: Vec<Rect> = Vec::with_capacity(runs.len());
+            let mut j = 0;
             for &(lo, hi) in &runs {
-                let carried = open
-                    .iter()
-                    .position(|r| r.x_hi == x0 && r.y_lo == lo && r.y_hi == hi);
-                match carried {
-                    Some(i) => {
-                        let mut r = open.swap_remove(i);
-                        r.x_hi = x1;
-                        next_open.push(r);
+                while j < open.len() && open[j].y_lo < lo {
+                    out.push(open[j]);
+                    j += 1;
+                }
+                match open.get(j) {
+                    Some(r) if r.y_lo == lo && r.y_hi == hi => {
+                        next_open.push(Rect { x_hi: x1, ..*r });
+                        j += 1;
                     }
-                    None => next_open.push(Rect::new(x0, lo, x1, hi)),
+                    _ => next_open.push(Rect::new(x0, lo, x1, hi)),
                 }
             }
-            out.append(&mut open);
-            open = next_open;
+            out.extend_from_slice(&open[j..]);
+            open.clear();
+            std::mem::swap(&mut open, &mut next_open);
         }
         out.append(&mut open);
-        out.sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
+        out.sort_by(by_x_then_y);
         self.rects = out;
     }
 
@@ -250,22 +240,17 @@ enum Mode {
 /// union of intervals, so the slab's contribution is
 /// `slab_width × measure(interval-set expression)`.
 fn slab_sweep(a: &RegionSet, b: Option<&RegionSet>, mode: Mode) -> f64 {
-    let mut xs: Vec<f64> = Vec::with_capacity(2 * (a.len() + b.map_or(0, RegionSet::len)));
-    for r in &a.rects {
-        xs.push(r.x_lo);
-        xs.push(r.x_hi);
-    }
-    if let Some(b) = b {
-        for r in &b.rects {
-            xs.push(r.x_lo);
-            xs.push(r.x_hi);
-        }
-    }
-    if xs.is_empty() {
-        return 0.0;
-    }
+    let mut xs: Vec<f64> = a
+        .rects
+        .iter()
+        .chain(b.map_or(&[][..], |b| &b.rects[..]))
+        .flat_map(|r| [r.x_lo, r.x_hi])
+        .collect();
     xs.sort_by(f64::total_cmp);
     xs.dedup_by(|x, y| (*x - *y).abs() <= EPS);
+
+    let mut live_a = Active::new(&a.rects);
+    let mut live_b = b.map(|b| Active::new(&b.rects));
 
     let mut total = 0.0;
     for w in xs.windows(2) {
@@ -275,79 +260,79 @@ fn slab_sweep(a: &RegionSet, b: Option<&RegionSet>, mode: Mode) -> f64 {
             continue;
         }
         let mid = 0.5 * (x0 + x1);
-        let ya = slab_intervals(a, mid);
+        let ya = live_a.cross_section(mid);
+        let mut yb = || {
+            live_b
+                .as_mut()
+                .expect("binary mode needs rhs")
+                .cross_section(mid)
+        };
         let contribution = match mode {
             Mode::SelfArea => ya.measure(),
-            Mode::Intersection => {
-                let yb = slab_intervals(b.expect("binary mode needs rhs"), mid);
-                ya.intersection(&yb).measure()
-            }
-            Mode::Difference => {
-                let yb = slab_intervals(b.expect("binary mode needs rhs"), mid);
-                ya.difference_measure(&yb)
-            }
+            Mode::Intersection => ya.intersection(&yb()).measure(),
+            Mode::Difference => ya.difference_measure(&yb()),
         };
         total += width * contribution;
     }
     total
 }
 
-/// Y-intervals of all rectangles of `set` whose X-extent covers `x`.
-fn slab_intervals(set: &RegionSet, x: f64) -> IntervalSet {
-    IntervalSet::from_intervals(
-        set.rects
-            .iter()
-            .filter(|r| r.x_lo <= x && x < r.x_hi)
-            .map(|r| Interval::new(r.y_lo, r.y_hi)),
-    )
+/// The active list of a left-to-right sweep: the rectangles whose
+/// X-extent `[x_lo, x_hi)` covers the sweep position. Each rectangle
+/// enters once, in `x_lo` order, and leaves once, so a sweep over every
+/// slab costs O(n log n) plus the active rectangles summed over slabs
+/// instead of a scan of the whole list per slab. The live rectangles
+/// stay in input order, so each slab sees exactly the sequence a filter
+/// over the whole list would yield.
+struct Active<'a> {
+    rects: &'a [Rect],
+    /// Indices into `rects`, sorted by `x_lo`.
+    by_x_lo: Vec<usize>,
+    /// How many of `by_x_lo` have entered.
+    entered: usize,
+    /// Indices of the live rectangles, ascending.
+    live: Vec<usize>,
 }
 
-/// One pass of rectangle merging. With `vertical = true`, merges pairs
-/// that share identical `[x_lo, x_hi]` and abut along Y; otherwise the
-/// transposed condition.
-fn merge_axis(rects: &mut Vec<Rect>, vertical: bool) {
-    if rects.len() < 2 {
-        return;
-    }
-    if vertical {
-        rects.sort_by(|a, b| {
-            a.x_lo
-                .total_cmp(&b.x_lo)
-                .then(a.x_hi.total_cmp(&b.x_hi))
-                .then(a.y_lo.total_cmp(&b.y_lo))
-        });
-    } else {
-        rects.sort_by(|a, b| {
-            a.y_lo
-                .total_cmp(&b.y_lo)
-                .then(a.y_hi.total_cmp(&b.y_hi))
-                .then(a.x_lo.total_cmp(&b.x_lo))
-        });
-    }
-    let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
-    for &r in rects.iter() {
-        match out.last_mut() {
-            Some(last)
-                if vertical
-                    && (last.x_lo - r.x_lo).abs() <= EPS
-                    && (last.x_hi - r.x_hi).abs() <= EPS
-                    && r.y_lo <= last.y_hi + EPS =>
-            {
-                last.y_hi = last.y_hi.max(r.y_hi);
-            }
-            Some(last)
-                if !vertical
-                    && (last.y_lo - r.y_lo).abs() <= EPS
-                    && (last.y_hi - r.y_hi).abs() <= EPS
-                    && r.x_lo <= last.x_hi + EPS =>
-            {
-                last.x_hi = last.x_hi.max(r.x_hi);
-            }
-            _ => out.push(r),
+impl<'a> Active<'a> {
+    fn new(rects: &'a [Rect]) -> Self {
+        let mut by_x_lo: Vec<usize> = (0..rects.len()).collect();
+        by_x_lo.sort_by(|&i, &j| rects[i].x_lo.total_cmp(&rects[j].x_lo));
+        Active {
+            rects,
+            by_x_lo,
+            entered: 0,
+            live: Vec::new(),
         }
     }
-    *rects = out;
+
+    /// Moves the sweep to `x`, which must not lie left of the previous
+    /// position, and yields the rectangles with `x_lo <= x < x_hi`.
+    fn at(&mut self, x: f64) -> impl Iterator<Item = &'a Rect> + '_ {
+        let rects = self.rects;
+        self.live.retain(|&i| x < rects[i].x_hi);
+        while let Some(&i) = self.by_x_lo.get(self.entered) {
+            if rects[i].x_lo <= x {
+                self.entered += 1;
+                if x < rects[i].x_hi {
+                    let at = self.live.partition_point(|&k| k < i);
+                    self.live.insert(at, i);
+                }
+            } else {
+                break;
+            }
+        }
+        self.live.iter().map(move |&i| &rects[i])
+    }
+
+    /// The Y cross-section of the union at `x` (see [`at`](Self::at)).
+    fn cross_section(&mut self, x: f64) -> IntervalSet {
+        IntervalSet::from_intervals(self.at(x).map(|r| Interval::new(r.y_lo, r.y_hi)))
+    }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -421,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_preserves_point_set() {
+    fn canonicalize_merges_cells() {
         // A 3x3 block of unit cells, stored cell by cell.
         let mut cells = RegionSet::new();
         for i in 0..3 {
@@ -436,10 +421,10 @@ mod tests {
         }
         let before_area = cells.area();
         let block = rs(&[(0.0, 0.0, 3.0, 3.0)]);
-        cells.coalesce();
+        cells.canonicalize();
         assert!(
             cells.len() < 9,
-            "coalesce should merge cells, got {}",
+            "canonicalize should merge cells, got {}",
             cells.len()
         );
         assert!((cells.area() - before_area).abs() < 1e-12);
@@ -447,22 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_is_cut_invariant_where_coalesce_is_not() {
-        // The non-confluence counterexample: an L of three unit cells.
-        // Global coalesce (vertical first) joins B+C; a shard cut at
-        // y = 1 keeps C alone and joins A+B horizontally instead. Same
-        // point set, different lists.
-        let a = (0.0, 0.0, 1.0, 1.0);
-        let b = (1.0, 0.0, 2.0, 1.0);
-        let c = (1.0, 1.0, 2.0, 2.0);
-        let mut global = rs(&[a, b, c]);
-        global.coalesce();
-        let mut bottom = rs(&[a, b]);
-        bottom.coalesce();
-        let mut top = rs(&[c]);
-        top.coalesce();
-        let mut recombined = bottom.clone();
-        recombined.extend_from(&top);
+    fn canonicalize_is_cut_invariant() {
+        // An L of three unit cells A = [0,1)², B = [1,2)×[0,1),
+        // C = [1,2)×[1,2), merged pairwise two ways: B+C as one column
+        // next to A, or A+B as one bar under C (as a shard cut at y = 1
+        // would leave it). Same point set, different lists.
+        let global = rs(&[(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 2.0)]);
+        let recombined = rs(&[(0.0, 0.0, 2.0, 1.0), (1.0, 1.0, 2.0, 2.0)]);
         assert_ne!(global.rects(), recombined.rects(), "premise of the test");
 
         let mut g = global.clone();

@@ -104,17 +104,17 @@ fn region_extend_accumulates() {
 }
 
 #[test]
-fn coalesce_is_idempotent() {
+fn canonicalize_is_idempotent() {
     let mut r = RegionSet::from_rects([
         Rect::new(0.0, 0.0, 1.0, 1.0),
         Rect::new(0.0, 1.0, 1.0, 2.0),
         Rect::new(1.0, 0.0, 2.0, 1.0),
         Rect::new(1.0, 1.0, 2.0, 2.0),
     ]);
-    r.coalesce();
+    r.canonicalize();
     let once = r.clone();
-    r.coalesce();
-    assert_eq!(once.rects(), r.rects(), "coalesce must be idempotent");
+    r.canonicalize();
+    assert_eq!(once.rects(), r.rects(), "canonicalize must be idempotent");
     assert!((r.area() - 4.0).abs() < 1e-12);
 }
 

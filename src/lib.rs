@@ -53,8 +53,8 @@
 pub use pdr_core::{
     accuracy, classify_cells, dh_optimistic, dh_pessimistic, exact_dense_regions, point_density,
     refine_region, refine_region_set, Accuracy, CellClass, Classification, DenseThreshold,
-    ExactOracle, FrAnswer, FrCacheCounters, FrConfig, FrEngine, PaAnswer, PaConfig, PaEngine,
-    PdrQuery, RangeIndex, INTERVAL_COALESCE_EVERY,
+    DensityEngine, ExactOracle, FrAnswer, FrCacheCounters, FrConfig, FrEngine, PaAnswer, PaConfig,
+    PaEngine, PdrQuery, RangeIndex,
 };
 
 /// Prior-work baselines (dense-cell and effective-density queries).

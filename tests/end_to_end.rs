@@ -5,8 +5,8 @@ use pdr::geometry::{Point, Rect};
 use pdr::mobject::{TimeHorizon, Update};
 use pdr::workload::{gaussian_clusters, NetworkConfig, RoadNetwork, TrafficSimulator};
 use pdr::{
-    accuracy, classify_cells, dh_optimistic, dh_pessimistic, ExactOracle, FrConfig, FrEngine,
-    PaConfig, PaEngine, PdrQuery,
+    accuracy, classify_cells, dh_optimistic, dh_pessimistic, DensityEngine, ExactOracle, FrConfig,
+    FrEngine, PaConfig, PaEngine, PdrQuery,
 };
 
 const EXTENT: f64 = 500.0;

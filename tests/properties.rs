@@ -127,15 +127,15 @@ fn region_difference_partition() {
     }
 }
 
-/// Coalescing never changes the point set (checked by area of the
+/// Canonicalizing never changes the point set (checked by area of the
 /// symmetric difference with the original).
 #[test]
-fn coalesce_preserves_point_set() {
+fn canonicalize_preserves_point_set() {
     let mut rng = StdRng::seed_from_u64(0x2B03);
     for _ in 0..256 {
         let a = rand_region(&mut rng);
         let mut c = a.clone();
-        c.coalesce();
+        c.canonicalize();
         assert!(a.symmetric_difference_area(&c) < 1e-6);
     }
 }
