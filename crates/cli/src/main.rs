@@ -40,7 +40,7 @@ use pdr_workload::{
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -742,6 +742,10 @@ struct ResilientClient {
     retries: u64,
     rng: SeededRng,
     faults: Option<Arc<NetFaultInjector>>,
+    /// Wall time of every non-`check` request, retries included, in ms
+    /// (`check` runs the server-side oracle, so it prices the engine,
+    /// not the wire).
+    round_trips_ms: Vec<f64>,
 }
 
 /// Reconnect rounds (each walks every target) before giving up.
@@ -789,6 +793,7 @@ impl ResilientClient {
             retries: 0,
             rng: SeededRng::new(seed),
             faults,
+            round_trips_ms: Vec::new(),
         };
         c.ensure_connected()?;
         Ok(c)
@@ -872,10 +877,22 @@ impl ResilientClient {
         ))
     }
 
+    /// [`request_tagged`](ResilientClient::request_tagged), timed into
+    /// `round_trips_ms` unless it is a `check`.
+    fn request_raw(&mut self, body: &str) -> Result<String, String> {
+        let started = Instant::now();
+        let resp = self.request_tagged(body);
+        if !body.contains("\"op\":\"check\"") {
+            self.round_trips_ms
+                .push(started.elapsed().as_secs_f64() * 1e3);
+        }
+        resp
+    }
+
     /// Sends one request (tagged with a fresh `id`) and returns the raw
     /// matching response frame, reconnecting (and failing over) on
     /// connection errors.
-    fn request_raw(&mut self, body: &str) -> Result<String, String> {
+    fn request_tagged(&mut self, body: &str) -> Result<String, String> {
         debug_assert!(body.ends_with('}'));
         self.next_id += 1;
         let id = self.next_id;
@@ -1248,6 +1265,14 @@ fn cmd_client(o: &Options) -> Result<(), String> {
             return Err(format!("shutdown refused: {r:?}"));
         }
     }
+    let mut trips = std::mem::take(&mut c.round_trips_ms);
+    trips.sort_by(f64::total_cmp);
+    println!(
+        "# round trips: n={}, p50 {:.3} ms, max {:.3} ms",
+        trips.len(),
+        trips.get(trips.len().saturating_sub(1) / 2).unwrap_or(&0.0),
+        trips.last().unwrap_or(&0.0)
+    );
     if sub_divergence > 0 {
         return Err(format!(
             "{sub_divergence} subscription replay checks diverged from from-scratch queries"

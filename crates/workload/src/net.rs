@@ -18,6 +18,19 @@
 //! order, but clients may *pipeline* — write several frames before
 //! reading any response.
 //!
+//! Every frame leaves in **one write** (prefix and payload assembled in
+//! one buffer), and every stream — [`NetClient::connect`]'s and each
+//! one the server accepts — sets `TCP_NODELAY`. Both matter: Nagle's
+//! algorithm holds a small segment back while an earlier small one is
+//! unacknowledged, and the peer delays that ACK by ~40 ms. A length
+//! prefix written on its own, or two small frames in flight at once
+//! (pipelined responses), would pay that stall on every frame.
+//!
+//! A response that would exceed [`MAX_FRAME`] is not sent; the request
+//! is answered `{"ok":false,"error":"frame_too_large","bytes":N,
+//! "max":4194304}` (with its `id` echoed) and the connection stays
+//! open.
+//!
 //! | op            | request fields                               | response                                  |
 //! |---------------|----------------------------------------------|-------------------------------------------|
 //! | `query`       | `rho`, `l`, `q_t`[, `engine`, `rects`]       | `regions`, `area`, `t`, `micros`, `deadline_miss`[, `rects`] |
@@ -409,8 +422,9 @@ impl Parser<'_> {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+/// Assembles one frame — the 4-byte big-endian length prefix followed
+/// by the payload — into a single buffer, so it leaves in one write.
+fn frame_bytes(payload: &str) -> io::Result<Vec<u8>> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -418,8 +432,16 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             "frame too large",
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    Ok(frame)
+}
+
+/// Writes one length-prefixed frame with a single `write_all` (see
+/// the module doc's "Wire protocol" for why it must not be split).
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    w.write_all(&frame_bytes(payload)?)?;
     w.flush()
 }
 
@@ -482,9 +504,8 @@ pub fn write_frame_faulted(
         FrameFault::Truncate => {
             // The length prefix promises more than arrives — the reader
             // observes a torn frame, never a silently short payload.
-            let bytes = payload.as_bytes();
-            stream.write_all(&(bytes.len() as u32).to_be_bytes())?;
-            stream.write_all(&bytes[..bytes.len() / 2])?;
+            let frame = frame_bytes(payload)?;
+            stream.write_all(&frame[..4 + payload.len() / 2])?;
             stream.flush()?;
             let _ = stream.shutdown(Shutdown::Both);
             Err(io::Error::new(
@@ -759,19 +780,23 @@ pub fn fetch_shipment(
     offsets: &[usize],
     repl_epoch: u64,
 ) -> Result<LogShipment, String> {
+    let resp = primary
+        .request(&ship_log_body(engine, epoch, offsets, repl_epoch))
+        .map_err(|e| format!("ship_log: {e}"))?;
+    parse_shipment(&resp)
+}
+
+/// The `ship_log` request [`fetch_shipment`] sends.
+fn ship_log_body(engine: Option<&str>, epoch: u64, offsets: &[usize], repl_epoch: u64) -> String {
     let engine_part = engine
         .map(|l| format!(",\"engine\":{l:?}"))
         .unwrap_or_default();
     let offs: Vec<String> = offsets.iter().map(|o| o.to_string()).collect();
-    let body = format!(
+    format!(
         "{{\"op\":\"ship_log\",\"epoch\":{epoch},\"offsets\":[{}],\
          \"repl_epoch\":{repl_epoch}{engine_part}}}",
         offs.join(",")
-    );
-    let resp = primary
-        .request(&body)
-        .map_err(|e| format!("ship_log: {e}"))?;
-    parse_shipment(&resp)
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -789,8 +814,10 @@ pub struct NetClient {
 impl NetClient {
     /// Connects to a serving front-end.
     pub fn connect(addr: &str) -> io::Result<NetClient> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(NetClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             faults: None,
         })
     }
@@ -1130,9 +1157,11 @@ fn conn_loop(
     let mut rng = SeededRng::new(policy.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Bounded reads: the 50 ms poll quantum lets the loop observe both
     // the idle/frame deadlines and the shared shutdown flag without a
-    // dedicated watchdog thread.
+    // dedicated watchdog thread. No-delay: a response must not wait on
+    // the peer's delayed ACK (module doc, "Wire protocol").
     if stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream.set_write_timeout(Some(cfg.frame_timeout)).is_err()
+        || stream.set_nodelay(true).is_err()
     {
         return;
     }
@@ -1202,7 +1231,17 @@ fn dispatch(
     };
     let req_id = req.get("id").and_then(Json::as_u64);
     let (resp, shutdown) = dispatch_op(&req, id, driver, shared, policy, cfg, rng);
-    (attach_id(resp, req_id), shutdown)
+    let resp = attach_id(resp, req_id);
+    if resp.len() > MAX_FRAME {
+        // Unsendable as one frame: answer a typed error instead, so the
+        // client learns why and the connection stays usable.
+        let err = format!(
+            "{{\"ok\":false,\"error\":\"frame_too_large\",\"bytes\":{},\"max\":{MAX_FRAME}}}",
+            resp.len()
+        );
+        return (attach_id(err, req_id), shutdown);
+    }
+    (resp, shutdown)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1274,6 +1313,13 @@ fn dispatch_op(
         "rebalance" => (serve_rebalance(req, driver), false),
         "metrics" => (metrics_json(driver, shared, cfg), false),
         "shutdown" => ("{\"ok\":true,\"draining\":true}".to_string(), true),
+        // Test-only: a response past the frame cap, to drive the
+        // oversize path end to end.
+        #[cfg(test)]
+        "oversize" => (
+            format!("{{\"ok\":true,\"pad\":\"{}\"}}", "x".repeat(MAX_FRAME)),
+            false,
+        ),
         _ => (err_json("unknown op"), false),
     }
 }
@@ -1463,7 +1509,9 @@ fn serve_ship_log(req: &Json, driver: &RwLock<ServeDriver>) -> String {
 /// Transient network errors retry in place with the policy's seeded
 /// backoff; an ingest `Mismatch` (gap past the watermark — the primary
 /// restarted or GC'd the segment) forces one full re-bootstrap fetch.
-/// A `Fenced` refusal is terminal and answered as a typed error.
+/// A `fenced` refusal (either side) and a `frame_too_large` shipment
+/// are terminal — a retry would only repeat them — and are answered as
+/// typed errors.
 fn serve_sync(
     req: &Json,
     driver: &RwLock<ServeDriver>,
@@ -1494,24 +1542,28 @@ fn serve_sync(
     let mut force_bootstrap = false;
     loop {
         attempts += 1;
+        let body = if force_bootstrap {
+            ship_log_body(Some(&label), 0, &[], my_repl)
+        } else {
+            ship_log_body(Some(&label), epoch, &offsets, my_repl)
+        };
         let fetch = NetClient::connect(&primary)
-            .map_err(|e| format!("connecting {primary}: {e}"))
-            .and_then(|mut c| {
-                if force_bootstrap {
-                    fetch_shipment(&mut c, Some(&label), 0, &[], my_repl)
-                } else {
-                    fetch_shipment(&mut c, Some(&label), epoch, &offsets, my_repl)
-                }
-            });
-        let ship = match fetch {
+            .and_then(|mut c| c.request(&body))
+            .map_err(|e| format!("ship_log from {primary}: {e}"));
+        if let Ok(resp) = &fetch {
+            if let Some(err @ ("fenced" | "frame_too_large")) =
+                resp.get("error").and_then(Json::as_str)
+            {
+                return format!(
+                    "{{\"ok\":false,\"error\":\"{err}\",\"detail\":{:?},\
+                     \"attempts\":{attempts}}}",
+                    format!("{resp:?}")
+                );
+            }
+        }
+        let ship = match fetch.and_then(|resp| parse_shipment(&resp)) {
             Ok(s) => s,
             Err(e) => {
-                if e.contains("\"error\":\"fenced\"") || e.contains("fenced:") {
-                    return format!(
-                        "{{\"ok\":false,\"error\":\"fenced\",\"detail\":{e:?},\
-                         \"attempts\":{attempts}}}"
-                    );
-                }
                 if attempts >= policy.max_attempts {
                     return format!(
                         "{{\"ok\":false,\"error\":\"sync\",\"detail\":{e:?},\
@@ -2014,6 +2066,138 @@ mod tests {
         );
     }
 
+    /// Counts `write` calls; everything written is kept for a read-back.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame leaves in exactly one `write`: a length prefix written
+    /// on its own would wait out the peer's delayed ACK under Nagle.
+    #[test]
+    fn every_frame_is_a_single_write() {
+        for len in [0usize, 1, 300, 70_000, MAX_FRAME] {
+            let payload = "x".repeat(len);
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {len} bytes");
+            assert_eq!(
+                read_frame(&mut &w.bytes[..]).unwrap().as_deref(),
+                Some(payload.as_str())
+            );
+        }
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &"x".repeat(MAX_FRAME + 1)).is_err());
+        assert_eq!(w.writes, 0, "an oversize frame writes nothing");
+    }
+
+    #[test]
+    fn client_sockets_are_no_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let c = NetClient::connect(&addr).unwrap();
+        assert!(
+            c.stream.nodelay().unwrap(),
+            "NetClient must set TCP_NODELAY"
+        );
+    }
+
+    /// Loopback latency guard: round trips must not pay the ~40 ms
+    /// delayed-ACK floor each. Lockstep trips stall on a frame split
+    /// across two writes; padded requests span more than one 64 KiB
+    /// loopback segment; pipelined triples make the server write two
+    /// small responses back to back (even when the client's own Nagle
+    /// coalesces the last two requests), and Nagle holds the second
+    /// until the client's delayed ACK unless the sockets are no-delay.
+    #[test]
+    fn loopback_round_trips_stay_below_the_delayed_ack_floor() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(50),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        let padded = format!("{{\"op\":\"metrics\",\"pad\":\"{}\"}}", "x".repeat(100_000));
+        let started = Instant::now();
+        let mut trips = 0u32;
+        for k in 0..60 {
+            let body = if k % 3 == 0 {
+                padded.as_str()
+            } else {
+                "{\"op\":\"metrics\"}"
+            };
+            let r = c.request(body).unwrap();
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+            trips += 1;
+        }
+        for _ in 0..40 {
+            for _ in 0..3 {
+                c.send("{\"op\":\"metrics\"}").unwrap();
+            }
+            for _ in 0..3 {
+                let r = c.recv().unwrap();
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+                trips += 1;
+            }
+        }
+        let elapsed = started.elapsed();
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        server.join().unwrap();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{trips} round trips took {elapsed:?}; a framing or no-delay \
+             regression costs ~40 ms each"
+        );
+    }
+
+    /// A response over [`MAX_FRAME`] is answered with a typed error that
+    /// echoes the request id, and the connection keeps serving.
+    #[test]
+    fn oversize_response_is_a_typed_error_on_a_live_connection() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(50),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        let r = c.request("{\"op\":\"oversize\",\"id\":5}").unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r:?}");
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("frame_too_large")
+        );
+        assert_eq!(r.get("max").and_then(Json::as_u64), Some(MAX_FRAME as u64));
+        assert!(r.get("bytes").and_then(Json::as_u64).unwrap() > MAX_FRAME as u64);
+        assert_eq!(r.get("id").and_then(Json::as_u64), Some(5));
+        let r = c.request("{\"op\":\"metrics\",\"id\":6}").unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        assert_eq!(r.get("id").and_then(Json::as_u64), Some(6));
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        let summary = server.join().unwrap();
+        assert!(summary.contains("\"connections\":1"), "{summary}");
+    }
+
     /// Full protocol pass over a real socket: ticks advance the clock,
     /// answers are exact against the ground truth, metrics expose the
     /// executor counters, and shutdown reports zero leaked workers.
@@ -2391,6 +2575,55 @@ mod tests {
                 summary.contains("\"leaked_workers\":0"),
                 "{name}: {summary}"
             );
+        }
+    }
+
+    /// A primary refusal that a retry would only repeat — a newer epoch
+    /// (`fenced`) or a shipment over the frame cap — ends a replica's
+    /// `sync` after one pull, answered with the same typed error.
+    #[test]
+    fn sync_stops_at_the_first_terminal_primary_refusal() {
+        for error in ["fenced", "frame_too_large"] {
+            // A stand-in primary that refuses every `ship_log` pull.
+            let primary = TcpListener::bind("127.0.0.1:0").unwrap();
+            let primary_addr = primary.local_addr().unwrap().to_string();
+            let primary = std::thread::spawn(move || {
+                let mut pulls = 0u32;
+                for stream in primary.incoming() {
+                    let mut stream = stream.unwrap();
+                    let req = read_frame(&mut stream).unwrap().unwrap_or_default();
+                    if !req.contains("ship_log") {
+                        return pulls;
+                    }
+                    pulls += 1;
+                    let resp = format!("{{\"ok\":false,\"error\":\"{error}\"}}");
+                    write_frame(&mut stream, &resp).unwrap();
+                }
+                pulls
+            });
+            let replica_driver = ServeDriver::new(sim(50), pdr_storage::CostModel::PAPER_DEFAULT)
+                .with_engine("fr", sharded_spec().try_build_replica(0).unwrap());
+            let replica = NetServer::bind(
+                "127.0.0.1:0",
+                replica_driver,
+                FaultPolicy::default(),
+                NetServerConfig {
+                    replica_of: Some(primary_addr.clone()),
+                    ..NetServerConfig::default()
+                },
+            )
+            .unwrap();
+            let replica_addr = replica.local_addr().unwrap().to_string();
+            let replica = std::thread::spawn(move || replica.serve());
+            let mut r = NetClient::connect(&replica_addr).unwrap();
+            let resp = r.request("{\"op\":\"sync\"}").unwrap();
+            assert_eq!(resp.get("error").and_then(Json::as_str), Some(error));
+            assert_eq!(resp.get("attempts").and_then(Json::as_u64), Some(1));
+            r.request("{\"op\":\"shutdown\"}").unwrap();
+            replica.join().unwrap();
+            let mut stop = TcpStream::connect(&primary_addr).unwrap();
+            write_frame(&mut stop, "{}").unwrap();
+            assert_eq!(primary.join().unwrap(), 1, "{error}: one pull, no retries");
         }
     }
 

@@ -16,8 +16,9 @@
 //! * **delay frame** — the frame is delivered after `ms` milliseconds.
 //! * **duplicate frame** — the frame is delivered twice, back to back.
 //!   Receivers correlate by the echoed request `id`.
-//! * **truncate frame** — the length prefix and a byte-level prefix of
-//!   the payload are delivered, then the stream is shut down: the peer
+//! * **truncate frame** — the length prefix and the first half of the
+//!   payload are delivered in one write (a prefix of the same buffer an
+//!   intact frame is sent from), then the stream is shut down: the peer
 //!   observes a torn frame mid-read.
 //! * **reset conn** / **drop conn** — the connection is shut down
 //!   (instead of the frame being written); the writer sees an error.
@@ -56,8 +57,9 @@ pub enum FrameFault {
     Delay(u64),
     /// Write the frame twice.
     Duplicate,
-    /// Write the length prefix plus a prefix of the payload, then shut
-    /// the stream down (a torn frame for the reader).
+    /// Write the length prefix plus the first half of the payload in
+    /// one write, then shut the stream down (a torn frame for the
+    /// reader).
     Truncate,
     /// Shut the connection down instead of writing.
     Reset,

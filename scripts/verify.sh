@@ -167,8 +167,10 @@ sharded_smoke() {
 # TCP front-end smoke: bind an ephemeral port, drive 10 ticks of
 # oracle-checked queries through a scripted client, then shut down via
 # the protocol op. Fails on a non-exact answer (the client asserts),
-# missing metrics keys, failed queries, a dirty exit, or any leaked
-# connection/executor worker thread in the closing summary.
+# missing metrics keys, failed queries, a dirty exit, any leaked
+# connection/executor worker thread in the closing summary, or a
+# round-trip p50 at or above the 40 ms delayed-ACK floor (a frame split
+# across writes, or a socket without TCP_NODELAY, pays it each trip).
 serve_tcp_smoke() {
     step "TCP serve smoke (serve --listen + scripted client, 10 ticks)"
     if ! cargo build --release -p pdr-cli; then
@@ -181,7 +183,8 @@ serve_tcp_smoke() {
     clientlog="$(mktemp /tmp/pdr-tcp-client.XXXXXX.log)"
     rm -f "$portfile"
     # --deadline-ms 5000: the 250 ms default budget assumes a multi-core
-    # host; the smoke pins correctness and clean shutdown, not latency.
+    # host; the smoke pins engine correctness and clean shutdown, and
+    # wire latency only through the round-trip gate below.
     # --ticks is unused in listen mode (clients drive ticks over the
     # wire) but still validated, so pass the minimum.
     target/release/pdrcli serve --objects 800 --extent 400 --ticks 1 \
@@ -210,6 +213,19 @@ serve_tcp_smoke() {
         if ! grep -qF 'all exact' "$clientlog"; then
             echo "FAIL: TCP client did not confirm exact answers"
             fail=1
+        fi
+        # Non-check round trips are mostly ticks, ~20 ms of server work
+        # on a 2-core host; a p50 at the delayed-ACK floor means the
+        # framing regressed.
+        p50="$(sed -n 's/^# round trips: n=[0-9]*, p50 \([0-9.]*\) ms.*/\1/p' "$clientlog")"
+        if [ -z "$p50" ]; then
+            echo "FAIL: TCP client printed no round-trip line"
+            fail=1
+        elif ! awk -v p="$p50" 'BEGIN { exit !(p < 40) }'; then
+            echo "FAIL: TCP round-trip p50 $p50 ms is at the 40 ms delayed-ACK floor"
+            fail=1
+        else
+            grep -F '# round trips:' "$clientlog"
         fi
         # The client relays the server's metrics op verbatim; the dump
         # must carry the executor and admission-queue telemetry.
