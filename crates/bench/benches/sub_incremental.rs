@@ -142,12 +142,7 @@ fn run(subs: usize, n: usize, ticks: u64) -> Row {
         let _ = eng.maintain_subscriptions(now);
         incremental_us += start.elapsed().as_secs_f64() * 1e6;
 
-        let specs: Vec<_> = eng
-            .subscriptions()
-            .expect("FR planes carry a table")
-            .subs()
-            .copied()
-            .collect();
+        let specs: Vec<_> = eng.subscriptions().subs().copied().collect();
         let start = Instant::now();
         let answers: Vec<_> = specs
             .iter()
@@ -159,7 +154,7 @@ fn run(subs: usize, n: usize, ticks: u64) -> Row {
         recompute_us += start.elapsed().as_secs_f64() * 1e6;
 
         // The measured paths must agree bit-for-bit, every tick.
-        let table = eng.subscriptions().expect("table");
+        let table = eng.subscriptions();
         for (s, reference) in specs.iter().zip(&answers) {
             assert_eq!(
                 table.answer(s.id).expect("registered"),

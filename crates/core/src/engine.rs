@@ -29,7 +29,9 @@
 //! never touching concrete types.
 
 use crate::obs::ObsReport;
-use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable};
+use crate::sub::{
+    group_key, retain_groups, AnswerDelta, GroupKey, QtPolicy, SubError, SubId, SubscriptionTable,
+};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     baselines, classify_cells, dh_optimistic, dh_pessimistic, ExactOracle, FrConfig, FrEngine,
@@ -232,18 +234,11 @@ pub trait DensityEngine: Send + Sync {
         None
     }
 
-    /// The engine's standing-subscription registry, or `None` for
-    /// engines without subscription support. Every in-tree engine
-    /// carries one; only exotic test stubs return `None`.
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        None
-    }
+    /// The engine's standing-subscription registry.
+    fn subscriptions(&self) -> &SubscriptionTable;
 
-    /// Mutable access to the subscription registry (see
-    /// [`subscriptions`](Self::subscriptions)).
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        None
-    }
+    /// Mutable access to the subscription registry.
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable;
 
     /// Registers a standing PDR query. The first maintenance pass after
     /// registration emits the full current answer as `added`. Engines
@@ -256,42 +251,44 @@ pub trait DensityEngine: Send + Sync {
         region: Rect,
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
-        match self.subscriptions_mut() {
-            Some(t) => t.register(rho, l, region, policy),
-            None => Err(SubError::Unsupported),
-        }
+        self.subscriptions_mut().register(rho, l, region, policy)
     }
 
     /// Removes a standing subscription; `false` when the id is unknown.
     fn unregister_subscription(&mut self, id: SubId) -> bool {
-        self.subscriptions_mut().is_some_and(|t| t.unregister(id))
+        self.subscriptions_mut().unregister(id)
+    }
+
+    /// Evaluates the full-domain answer of each standing-query group
+    /// (one distinct `(ρ, l, resolved q_t)` each), in order — the one
+    /// hook through which engines specialize subscription maintenance.
+    /// The default runs [`try_query`](Self::try_query) once per group;
+    /// FR overrides it with its dirty-cell group cache and DH with its
+    /// epoch cache, and each override drops the cached state of every
+    /// group not passed in. An `Err` marks the group's subscriptions
+    /// degraded for this pass.
+    fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
+        groups
+            .iter()
+            .map(|q| self.try_query(q).map(|a| a.regions))
+            .collect()
     }
 
     /// Brings every standing subscription's answer up to date with the
-    /// engine state at clock `now` and returns the patches. The default
-    /// recomputes each standing query from scratch through
-    /// [`query`](Self::query) — always exact, never incremental; FR and
-    /// DH override it with the dirty-cell-driven incremental path.
-    /// Either path commits the same canonical answers, so the emitted
-    /// deltas are bit-identical.
+    /// engine state at clock `now` and returns the patches, in id
+    /// order: the table groups the standing queries,
+    /// [`eval_groups`](Self::eval_groups) answers each group once, and
+    /// every subscription commits its group's answer clipped to its
+    /// region (or is marked degraded when its group failed). Committed
+    /// answers are bit-identical to a clipped from-scratch
+    /// [`query`](Self::query) whichever way a group was evaluated.
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        let specs: Vec<Subscription> = match self.subscriptions() {
-            Some(t) if !t.is_empty() => t.subs().copied().collect(),
-            _ => return Vec::new(),
-        };
-        let mut deltas = Vec::new();
-        for s in specs {
-            let q_t = s.policy.resolve(now);
-            let ans = self.query(&PdrQuery::new(s.rho, s.l, q_t));
-            let clipped = SubscriptionTable::clip(&ans.regions, s.region);
-            let table = self
-                .subscriptions_mut()
-                .expect("subscription table vanished mid-maintenance");
-            if let Some(d) = table.commit(s.id, clipped, now, q_t) {
-                deltas.push(d);
-            }
-        }
-        deltas
+        let pass = self.subscriptions().begin_pass(now);
+        let answers = self.eval_groups(&pass.groups);
+        self.subscriptions_mut().finish_pass(pass, |sub, g| {
+            let full = answers[g].as_ref().ok()?;
+            Some(SubscriptionTable::clip(full, sub.region))
+        })
     }
 
     /// Applies one tick's updates and maintains every standing
@@ -409,16 +406,16 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
         FrEngine::set_obs_enabled(self, on);
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(self.subs())
+    fn subscriptions(&self) -> &SubscriptionTable {
+        self.subs()
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(self.subs_mut())
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        self.subs_mut()
     }
 
-    fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        FrEngine::maintain_subs(self, now)
+    fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
+        FrEngine::eval_groups(self, groups)
     }
 }
 
@@ -493,12 +490,12 @@ impl DensityEngine for PaEngine {
         PaEngine::set_obs_enabled(self, on);
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 }
 
@@ -540,12 +537,12 @@ impl DensityEngine for ExactOracle {
         }
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 }
 
@@ -644,12 +641,12 @@ impl DensityEngine for DenseCellEngine {
         self.live.stats()
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 }
 
@@ -700,12 +697,12 @@ impl DensityEngine for EdqEngine {
         self.live.stats()
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 }
 
@@ -733,7 +730,7 @@ pub struct DhEngine {
     /// histogram epoch it was computed at. An unchanged epoch means no
     /// update touched the histogram, so the cached answer is reused
     /// without reclassifying.
-    sub_cache: HashMap<(u64, u64, Timestamp), (u64, RegionSet)>,
+    sub_cache: HashMap<GroupKey, (u64, RegionSet)>,
 }
 
 impl DhEngine {
@@ -749,25 +746,6 @@ impl DhEngine {
             subs: SubscriptionTable::new(),
             sub_cache: HashMap::new(),
         }
-    }
-
-    /// One group's full-domain answer, through the epoch-tagged cache.
-    fn sub_group_answer(&mut self, rho: f64, l: f64, q_t: Timestamp) -> RegionSet {
-        let key = (rho.to_bits(), l.to_bits(), q_t);
-        let epoch = self.histogram.epoch();
-        if let Some((e, cached)) = self.sub_cache.get(&key) {
-            if *e == epoch {
-                return cached.clone();
-            }
-        }
-        let sums = self.histogram.prefix_sums_at(q_t);
-        let cls = classify_cells(self.histogram.grid(), &sums, &PdrQuery::new(rho, l, q_t));
-        let regions = match self.mode {
-            DhMode::Optimistic => dh_optimistic(&cls),
-            DhMode::Pessimistic => dh_pessimistic(&cls),
-        };
-        self.sub_cache.insert(key, (epoch, regions.clone()));
-        regions
     }
 
     /// The underlying histogram (for memory sweeps).
@@ -829,33 +807,33 @@ impl DensityEngine for DhEngine {
         }
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 
-    fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        if self.subs.is_empty() {
-            self.sub_cache.clear();
-            return Vec::new();
-        }
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        let mut live_keys = Vec::with_capacity(specs.len());
-        let mut deltas = Vec::new();
-        for s in specs {
-            let q_t = s.policy.resolve(now);
-            live_keys.push((s.rho.to_bits(), s.l.to_bits(), q_t));
-            let full = self.sub_group_answer(s.rho, s.l, q_t);
-            let clipped = SubscriptionTable::clip(&full, s.region);
-            if let Some(d) = self.subs.commit(s.id, clipped, now, q_t) {
-                deltas.push(d);
-            }
-        }
-        self.sub_cache.retain(|k, _| live_keys.contains(k));
-        deltas
+    /// Answers each group through the epoch-tagged cache: an answer
+    /// computed at the current histogram epoch is reused as is.
+    fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
+        retain_groups(&mut self.sub_cache, groups);
+        let epoch = self.histogram.epoch();
+        groups
+            .iter()
+            .map(|q| {
+                let key = group_key(q);
+                if let Some((e, cached)) = self.sub_cache.get(&key) {
+                    if *e == epoch {
+                        return Ok(cached.clone());
+                    }
+                }
+                let regions = self.query(q).regions;
+                self.sub_cache.insert(key, (epoch, regions.clone()));
+                Ok(regions)
+            })
+            .collect()
     }
 }
 
@@ -1126,7 +1104,7 @@ impl EngineSpec {
         }
         let shards = (*sx as usize) * (*sy as usize);
         let halo = l_max / 2.0 + 2.0 * inner.structure_pitch();
-        let map = crate::ShardMap::new(inner.domain_bounds(), *sx, *sy, halo);
+        let part = crate::Partition::grid(inner.domain_bounds(), *sx, *sy, halo);
         let per_shard = inner.per_shard_spec(shards);
         let threads = match **inner {
             EngineSpec::Fr(cfg) | EngineSpec::FrGrid { fr: cfg, .. } | EngineSpec::Dh(cfg, _) => {
@@ -1136,7 +1114,7 @@ impl EngineSpec {
         };
         let mut plane = crate::ShardedEngine::new(
             self.name(),
-            map,
+            part,
             inner.routing_horizon(),
             t_start,
             threads,
@@ -1378,7 +1356,7 @@ mod tests {
         let id = eng
             .register_subscription(0.05, 10.0, region, QtPolicy::NowPlus(2))
             .expect("l = l_max registers");
-        assert!(eng.subscriptions().expect("sharded table").contains(id));
+        assert!(eng.subscriptions().contains(id));
         // Per-shard metrics expose the routed registration.
         let json = eng.shard_metrics_json().expect("sharded metrics");
         assert!(json.contains("\"subs\":1"), "{json}");
@@ -1386,8 +1364,8 @@ mod tests {
         assert!(!eng.unregister_subscription(id));
     }
 
-    /// Every engine — whatever its maintenance path (default recompute,
-    /// FR/DH incremental, sharded fan-out) — must keep each standing
+    /// Every engine — whatever its group evaluation (default query per
+    /// group, FR/DH caches, sharded fan-out) — must keep each standing
     /// subscription's answer bit-identical to a from-scratch `query`
     /// clipped to the region, and its deltas must replay to the same
     /// rect list.
@@ -1486,7 +1464,7 @@ mod tests {
                         &eng.query(&PdrQuery::new(rho, l, q_t)).regions,
                         region,
                     );
-                    let table = eng.subscriptions().expect("every engine has a table");
+                    let table = eng.subscriptions();
                     assert_eq!(
                         table.answer(ids[k]).expect("registered"),
                         reference.rects(),

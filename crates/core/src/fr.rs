@@ -2,11 +2,11 @@
 
 use crate::exec::Executor;
 use crate::obs::{Counter, Histogram, ObsReport};
-use crate::sub::{AnswerDelta, SubId, Subscription, SubscriptionTable};
+use crate::sub::{group_key, retain_groups, AnswerDelta, GroupKey, SubscriptionTable};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     classify_cells, dh_optimistic, refine_region, CellClass, Classification, DenseThreshold,
-    PdrQuery, RangeIndex,
+    DensityEngine, PdrQuery, RangeIndex,
 };
 use pdr_geometry::{CellId, GridSpec, Point, Rect, RegionSet};
 use pdr_histogram::{DensityHistogram, PrefixSum2d};
@@ -15,7 +15,7 @@ use pdr_storage::{
     ByteReader, ByteWriter, CostModel, FaultPlan, FaultStats, IoStats, StorageError,
 };
 use pdr_tprtree::{TprConfig, TprTree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -156,15 +156,11 @@ struct FrObs {
     /// (the dirty set after dilation — the work the incremental path
     /// could not reuse from its group cache).
     dirty_cells: Counter,
-    /// Subscription patches emitted by maintenance passes.
-    deltas_emitted: Counter,
     classify_time: Histogram,
     range_time: Histogram,
     sweep_time: Histogram,
     merge_time: Histogram,
     query_time: Histogram,
-    /// Wall-clock latency of whole subscription-maintenance passes.
-    sub_latency: Histogram,
 }
 
 impl FrObs {
@@ -179,7 +175,9 @@ impl FrObs {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn report(&self) -> ObsReport {
+    /// The report, with the subscription table's pass accounting
+    /// (`deltas_emitted`, `sub_latency`) alongside the engine's own.
+    fn report(&self, subs: &SubscriptionTable) -> ObsReport {
         ObsReport {
             counters: vec![
                 ("queries", self.queries.get()),
@@ -189,7 +187,7 @@ impl FrObs {
                 ("objects_retrieved", self.objects_retrieved.get()),
                 ("refine_allocs", self.refine_allocs.get()),
                 ("dirty_cells", self.dirty_cells.get()),
-                ("deltas_emitted", self.deltas_emitted.get()),
+                ("deltas_emitted", subs.deltas_emitted()),
             ],
             stages: vec![
                 ("classify", self.classify_time.snapshot()),
@@ -197,7 +195,7 @@ impl FrObs {
                 ("sweep", self.sweep_time.snapshot()),
                 ("merge", self.merge_time.snapshot()),
                 ("query", self.query_time.snapshot()),
-                ("sub_latency", self.sub_latency.snapshot()),
+                ("sub_latency", subs.pass_latency()),
             ],
         }
     }
@@ -245,19 +243,19 @@ pub struct FrEngine<I: RangeIndex = TprTree> {
     subs: SubscriptionTable,
     /// Incremental-maintenance cache, one entry per distinct
     /// `(ρ, l, q_t)` group of standing queries (see [`GroupCache`]).
-    sub_cache: HashMap<(u64, u64, Timestamp), GroupCache>,
+    sub_cache: HashMap<GroupKey, GroupCache>,
 }
 
 /// Cached incremental-maintenance state of one standing-query group:
 /// the histogram epoch it was computed at, every candidate cell's
-/// refined rectangles (keyed by linear cell index), and the assembled
+/// refined rectangles (ascending linear cell index), and the assembled
 /// canonical full-domain answer. A maintenance pass at an unchanged
 /// epoch reuses `full` outright; otherwise only candidate cells inside
 /// the dilated dirty set are re-refined and the rest reuse their cached
 /// rectangles bit-for-bit.
 struct GroupCache {
     epoch: u64,
-    cell_rects: HashMap<usize, Vec<Rect>>,
+    cells: Vec<(usize, Vec<Rect>)>,
     full: RegionSet,
 }
 
@@ -355,7 +353,7 @@ impl<I: RangeIndex> FrEngine<I> {
     /// accounting). The `queries` counter always runs; every other
     /// value stays zero while observability is disabled.
     pub fn obs_report(&self) -> ObsReport {
-        self.obs.report()
+        self.obs.report(&self.subs)
     }
 
     /// Snapshot queries answered over the engine's lifetime.
@@ -367,6 +365,7 @@ impl<I: RangeIndex> FrEngine<I> {
     /// even the clock reads; answers are identical either way.
     pub fn set_obs_enabled(&mut self, on: bool) {
         self.obs.enabled.store(on, Ordering::Relaxed);
+        self.subs.set_obs_enabled(on);
     }
 
     /// The engine configuration.
@@ -615,48 +614,94 @@ impl<I: RangeIndex> FrEngine<I> {
         let enabled = self.obs.enabled();
         let _qt = self.obs.query_time.timer(enabled);
         let start = Instant::now();
-        let grid = self.histogram.grid();
         let cls = {
             let _t = self.obs.classify_time.timer(enabled);
             self.cached_classification(q)
         };
-        let threshold = DenseThreshold::of(q);
-
-        let mut regions = RegionSet::new();
-        for cell in cls.cells_of(CellClass::Accept) {
-            regions.push(grid.cell_rect(cell));
-        }
-
         self.tree.reset_io_stats();
-        let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
-        let (cell_rects, objects_retrieved, io) = self.refine(candidates, q, threshold)?;
-        {
-            let _t = self.obs.merge_time.timer(enabled);
-            for (_, rects) in cell_rects {
-                for r in rects {
-                    regions.push(r);
-                }
-            }
-            // Canonical (exact) compaction: the exact answer must be a
-            // pure function of the dense point set so that a sharded
-            // plane reproduces it rect-for-rect.
-            regions.canonicalize();
-        }
+        let ev = self.evaluate(q, &cls, None)?;
         self.obs.queries.inc();
         if enabled {
             self.obs.accepted_cells.add(cls.accept_count() as u64);
             self.obs.rejected_cells.add(cls.reject_count() as u64);
             self.obs.candidate_cells.add(cls.candidate_count() as u64);
-            self.obs.objects_retrieved.add(objects_retrieved as u64);
+            self.obs.objects_retrieved.add(ev.retrieved as u64);
         }
         Ok(FrAnswer {
-            regions,
+            regions: ev.regions,
             accepts: cls.accept_count(),
             rejects: cls.reject_count(),
             candidates: cls.candidate_count(),
-            objects_retrieved,
-            io,
+            objects_retrieved: ev.retrieved,
+            io: ev.io,
             cpu: start.elapsed(),
+        })
+    }
+
+    /// The one evaluation pipeline behind ad-hoc queries and standing
+    /// groups (Algorithms 1–3 after the filter step): accept cells are
+    /// taken whole, candidate cells are refined by range query + plane
+    /// sweep, and everything merges into the canonical answer. `reuse`
+    /// — a standing group's previous evaluation — only decides which
+    /// candidate cells are refined: a clean cell it covers contributes
+    /// its cached rectangles instead. Ad-hoc queries pass `None`, which
+    /// refines every candidate and records the merge stage.
+    fn evaluate(
+        &self,
+        q: &PdrQuery,
+        cls: &Classification,
+        reuse: Option<Reuse<'_>>,
+    ) -> Result<Evaluation, StorageError> {
+        let grid = self.histogram.grid();
+        let threshold = DenseThreshold::of(q);
+        let ad_hoc = reuse.is_none();
+        let candidates = cls.cells_of(CellClass::Candidate);
+        let (cells, retrieved, io) = match reuse {
+            None => self.refine(candidates.collect(), q, threshold)?,
+            Some(reuse) => {
+                let cached: Vec<(CellId, Option<&Vec<Rect>>)> = candidates
+                    .map(|c| (c, reuse.clean(grid.linear_index(c))))
+                    .collect();
+                let to_refine: Vec<CellId> = cached
+                    .iter()
+                    .filter(|(_, hit)| hit.is_none())
+                    .map(|&(c, _)| c)
+                    .collect();
+                if self.obs.enabled() {
+                    self.obs.dirty_cells.add(to_refine.len() as u64);
+                }
+                let (refined, retrieved, io) = self.refine(to_refine, q, threshold)?;
+                let mut refined = refined.into_iter();
+                let cells = cached
+                    .into_iter()
+                    .map(|(c, hit)| match hit {
+                        Some(rects) => (grid.linear_index(c), rects.clone()),
+                        None => refined.next().expect("one refined entry per dirty cell"),
+                    })
+                    .collect();
+                (cells, retrieved, io)
+            }
+        };
+        let _t = self.obs.merge_time.timer(ad_hoc && self.obs.enabled());
+        let mut regions = RegionSet::new();
+        for cell in cls.cells_of(CellClass::Accept) {
+            regions.push(grid.cell_rect(cell));
+        }
+        for (_, rects) in &cells {
+            for r in rects {
+                regions.push(*r);
+            }
+        }
+        // Canonical (exact) compaction: the exact answer must be a pure
+        // function of the dense point set so that a sharded plane — and
+        // a group assembled from cached cells — reproduces it
+        // rect-for-rect.
+        regions.canonicalize();
+        Ok(Evaluation {
+            regions,
+            cells,
+            retrieved,
+            io,
         })
     }
 
@@ -802,86 +847,38 @@ impl<I: RangeIndex> FrEngine<I> {
         &mut self.subs
     }
 
-    /// Incremental subscription maintenance (the tentpole path).
-    ///
-    /// Standing queries are grouped by `(ρ, l, resolved q_t)` and each
-    /// group is evaluated once. Per group, the histogram's dirty-cell
-    /// marks ([`DensityHistogram::dirty_cells_since`]) identify exactly
-    /// the cells whose classification or refinement can differ from the
-    /// group's cached evaluation; only candidate cells inside the dirty
-    /// set (dilated by the query's cell reach) are re-refined — through
-    /// the same scratch/refinement machinery and executor fan-out as a
-    /// from-scratch query — while every clean candidate reuses its
-    /// cached rectangles bit-for-bit. The assembled answer is
-    /// canonicalized, so each subscription's committed answer — and
-    /// therefore every emitted [`AnswerDelta`] — is bit-identical to
-    /// clipping a from-scratch [`query`](Self::query).
-    ///
-    /// On a storage fault the affected group's subscriptions are marked
-    /// degraded (their previous answers stay authoritative but stale)
-    /// and the cache entry is kept so the next pass retries.
+    /// Brings every standing subscription up to date at clock `now`
+    /// (see [`DensityEngine::maintain_subscriptions`]) and returns the
+    /// patches.
     pub fn maintain_subs(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        if self.subs.is_empty() {
-            self.sub_cache.clear();
-            return Vec::new();
-        }
-        let enabled = self.obs.enabled();
-        let obs = Arc::clone(&self.obs);
-        let _t = obs.sub_latency.timer(enabled);
-        let mut groups: BTreeMap<(u64, u64, Timestamp), Vec<SubId>> = BTreeMap::new();
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        for s in &specs {
-            let q_t = s.policy.resolve(now);
-            groups
-                .entry((s.rho.to_bits(), s.l.to_bits(), q_t))
-                .or_default()
-                .push(s.id);
-        }
-        // Drop cache entries of groups no subscription targets anymore
-        // (unregistered, or a sliding q_t moved on).
-        self.sub_cache.retain(|k, _| groups.contains_key(k));
-        let mut deltas = Vec::new();
-        for (key, ids) in groups {
-            let q = PdrQuery::new(f64::from_bits(key.0), f64::from_bits(key.1), key.2);
-            match self.eval_sub_group(&q) {
-                Ok(full) => {
-                    for id in ids {
-                        let region = self.subs.get(id).expect("grouped sub vanished").region;
-                        let clipped = SubscriptionTable::clip(&full, region);
-                        if let Some(d) = self.subs.commit(id, clipped, now, key.2) {
-                            deltas.push(d);
-                        }
-                    }
-                }
-                Err(_) => {
-                    for id in ids {
-                        if let Some(d) = self.subs.mark_degraded(id, now, key.2) {
-                            deltas.push(d);
-                        }
-                    }
-                }
-            }
-        }
-        if enabled {
-            obs.deltas_emitted.add(deltas.len() as u64);
-        }
-        deltas
+        DensityEngine::maintain_subscriptions(self, now)
     }
 
-    /// Evaluates one standing-query group's full-domain canonical
-    /// answer through the epoch-tagged incremental cache.
-    fn eval_sub_group(&mut self, q: &PdrQuery) -> Result<RegionSet, StorageError> {
-        let key = (q.rho.to_bits(), q.l.to_bits(), q.q_t);
+    /// Evaluates standing-query groups through the dirty-cell group
+    /// cache (the FR [`DensityEngine::eval_groups`]). Per group, the
+    /// histogram's dirty-cell marks
+    /// ([`DensityHistogram::dirty_cells_since`]) identify exactly the
+    /// cells whose classification or refinement can differ from the
+    /// group's cached evaluation; only candidate cells inside the dirty
+    /// set (dilated by the query's cell reach) are re-refined, while
+    /// every clean candidate reuses its cached rectangles bit-for-bit.
+    /// A group evaluated at an unchanged epoch is reused outright.
+    ///
+    /// On a storage fault the group's previous cache entry is kept, so
+    /// the next pass retries from it instead of recomputing in full.
+    pub fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
+        retain_groups(&mut self.sub_cache, groups);
+        groups.iter().map(|q| self.eval_group(q)).collect()
+    }
+
+    fn eval_group(&mut self, q: &PdrQuery) -> Result<RegionSet, StorageError> {
+        let key = group_key(q);
         let epoch = self.histogram.epoch();
-        if let Some(c) = self.sub_cache.get(&key) {
-            if c.epoch == epoch {
-                return Ok(c.full.clone());
-            }
+        if let Some(c) = self.sub_cache.get(&key).filter(|c| c.epoch == epoch) {
+            return Ok(c.full.clone());
         }
-        let enabled = self.obs.enabled();
         let grid = self.histogram.grid();
         let cls = self.cached_classification(q);
-        let threshold = DenseThreshold::of(q);
         let old = self.sub_cache.remove(&key);
         // Cells whose classification or refinement may differ from the
         // cached evaluation: everything within Chebyshev distance
@@ -903,62 +900,60 @@ impl<I: RangeIndex> FrEngine<I> {
             }
             mask
         });
-        let mut regions = RegionSet::new();
-        for cell in cls.cells_of(CellClass::Accept) {
-            regions.push(grid.cell_rect(cell));
-        }
-        let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
-        let mut cell_rects: HashMap<usize, Vec<Rect>> = HashMap::with_capacity(candidates.len());
-        let mut to_refine: Vec<CellId> = Vec::new();
-        for &cell in &candidates {
-            let li = grid.linear_index(cell);
-            let cached = match (&old, &dirty_mask) {
-                (Some(c), Some(mask)) if !mask[li] => c.cell_rects.get(&li),
-                _ => None,
-            };
-            match cached {
-                Some(r) => {
-                    cell_rects.insert(li, r.clone());
-                }
-                None => to_refine.push(cell),
+        let reuse = Reuse {
+            cells: old.as_ref().map_or(&[], |c| &c.cells),
+            dirty: dirty_mask.as_deref().unwrap_or(&[]),
+        };
+        match self.evaluate(q, &cls, Some(reuse)) {
+            Ok(ev) => {
+                self.sub_cache.insert(
+                    key,
+                    GroupCache {
+                        epoch,
+                        cells: ev.cells,
+                        full: ev.regions.clone(),
+                    },
+                );
+                Ok(ev.regions)
             }
-        }
-        if enabled {
-            self.obs.dirty_cells.add(to_refine.len() as u64);
-        }
-        let refined = match self.refine(to_refine, q, threshold) {
-            Ok((r, _, _)) => r,
             Err(e) => {
-                // Keep the previous cache entry so the next (post-
-                // recovery) maintenance pass retries from it instead of
-                // falling back to a full recompute.
                 if let Some(c) = old {
                     self.sub_cache.insert(key, c);
                 }
-                return Err(e);
-            }
-        };
-        for (li, rects) in refined {
-            cell_rects.insert(li, rects);
-        }
-        for &cell in &candidates {
-            if let Some(rs) = cell_rects.get(&grid.linear_index(cell)) {
-                for r in rs {
-                    regions.push(*r);
-                }
+                Err(e)
             }
         }
-        regions.canonicalize();
-        self.sub_cache.insert(
-            key,
-            GroupCache {
-                epoch,
-                cell_rects,
-                full: regions.clone(),
-            },
-        );
-        Ok(regions)
     }
+}
+
+/// A standing group's previous evaluation, offered to
+/// [`FrEngine::evaluate`] for reuse: every candidate cell's rectangles
+/// (ascending linear index) and the mask of cells dirtied since. An
+/// empty mask means nothing was cached.
+struct Reuse<'a> {
+    cells: &'a [(usize, Vec<Rect>)],
+    dirty: &'a [bool],
+}
+
+impl Reuse<'_> {
+    /// The cached rectangles of cell `li`, when it is clean and cached.
+    fn clean(&self, li: usize) -> Option<&Vec<Rect>> {
+        if self.dirty.get(li).copied().unwrap_or(true) {
+            return None;
+        }
+        let k = self.cells.binary_search_by_key(&li, |(i, _)| *i).ok()?;
+        Some(&self.cells[k].1)
+    }
+}
+
+/// What one pass of the evaluation pipeline produced: the canonical
+/// answer, each candidate cell's rectangles (ascending linear index),
+/// and the refinement's retrieved-object count and I/O.
+struct Evaluation {
+    regions: RegionSet,
+    cells: Vec<(usize, Vec<Rect>)>,
+    retrieved: usize,
+    io: IoStats,
 }
 
 /// One refinement's yield: each cell's dense rectangles, keyed by

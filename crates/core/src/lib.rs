@@ -101,8 +101,8 @@ pub use pa::{PaAnswer, PaConfig, PaEngine};
 pub use query::{DenseThreshold, PdrQuery};
 pub use replica::{IngestReport, Replica};
 pub use shard::{
-    LogShipment, PartLeaf, Partition, RebalanceReport, ShardMap, ShardedEngine, ShippedSegment,
-    SplitPolicy, TailSummary, TopologyError,
+    LogShipment, PartLeaf, Partition, RebalanceReport, ShardedEngine, ShippedSegment, SplitPolicy,
+    TailSummary, TopologyError,
 };
 pub use sub::{
     diff_canonical, AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable,

@@ -423,11 +423,11 @@ impl DensityEngine for Replica {
         self.inner.fault_stats()
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
+    fn subscriptions(&self) -> &SubscriptionTable {
         self.inner.subscriptions()
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
         self.inner.subscriptions_mut()
     }
 
@@ -439,10 +439,6 @@ impl DensityEngine for Replica {
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
         self.inner.register_subscription(rho, l, region, policy)
-    }
-
-    fn unregister_subscription(&mut self, id: SubId) -> bool {
-        self.inner.unregister_subscription(id)
     }
 
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
@@ -524,7 +520,7 @@ impl DensityEngine for Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardMap;
+    use crate::shard::Partition;
     use crate::{FrConfig, FrEngine};
     use pdr_geometry::Point;
     use pdr_mobject::TimeHorizon;
@@ -540,8 +536,8 @@ mod tests {
     }
 
     fn plane(sx: u32, sy: u32) -> ShardedEngine {
-        let map = ShardMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 30.0);
-        ShardedEngine::new("fr", map, TimeHorizon::new(4, 2), 0, 1, 14.0, |_| {
+        let part = Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 30.0);
+        ShardedEngine::new("fr", part, TimeHorizon::new(4, 2), 0, 1, 14.0, |_| {
             Box::new(FrEngine::new(fr_cfg(), 0))
         })
     }

@@ -6,10 +6,11 @@
 //! of the domain can answer exactly for every owned point as long as it
 //! also sees the **ghost objects** within a halo of its cut lines.
 //!
-//! * [`ShardMap`] — a regular `Sx × Sy` partition of the domain. Each
-//!   shard owns one sub-rectangle (edge shards own out to infinity, so
-//!   the owned rectangles tile the whole plane) and ingests everything
-//!   whose trajectory passes within `halo` of it.
+//! * [`Partition`] — the spatial partition: a regular `Sx × Sy` grid
+//!   of the domain ([`Partition::grid`]) whose leaves can later split
+//!   and merge. Each shard owns one sub-rectangle (edge shards own out
+//!   to infinity, so the owned rectangles tile the whole plane) and
+//!   ingests everything whose trajectory passes within `halo` of it.
 //! * [`ShardedEngine`] — implements [`DensityEngine`] over a vector of
 //!   inner engines, one per shard, each with its own buffer pool, WAL
 //!   segment, checkpoint, and fault scope:
@@ -24,6 +25,10 @@
 //!     the merge canonicalizes, the answer is a **bit-identical**
 //!     rectangle list to `canonicalize(unsharded answer)` at any shard
 //!     count (boundary-sweep tested for FR and PA);
+//!   - standing subscriptions live in the plane's table alone: a
+//!     maintenance pass asks each shard to evaluate just the groups its
+//!     owned subscriptions need and merges them the same way, clipped
+//!     to `owned(i) ∩ region`;
 //!   - crash recovery is *shard-local*: a corrupted shard restores its
 //!     own checkpoint and replays its own WAL segment; a shard that
 //!     stays broken is stickily degraded and serves its sub-domain with
@@ -48,7 +53,7 @@
 use crate::engine::{DensityEngine, EngineAnswer, EngineStats};
 use crate::exec::Executor;
 use crate::obs::ObsReport;
-use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable};
+use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, SubscriptionTable};
 use crate::wal::{
     open_checkpoint, replay, seal_checkpoint, segment_name, RecoverError, SegmentHeader, Wal,
     WalCodec, WalRecord, SEGMENT_HEADER_LEN,
@@ -66,138 +71,6 @@ use std::time::Instant;
 /// adaptive container (partition + router table + per-leaf payloads)
 /// from anything else `open_checkpoint` might hand back.
 const ADAPTIVE_CHECKPOINT_MAGIC: u32 = 0xADA7_71C5;
-
-/// A regular `Sx × Sy` spatial partition of the monitored domain with a
-/// halo of ghost coverage around every cut line.
-///
-/// Interior cuts replicate the grid arithmetic of the engine structures
-/// (`lo + k * (extent / s)`), though exactness does not depend on cut
-/// alignment — the merge canonicalizes. Edge shards own out to
-/// ±infinity so that engine answers slightly overhanging the nominal
-/// domain (grid arithmetic may round the last cell past `extent`) are
-/// never lost to clipping.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardMap {
-    bounds: Rect,
-    sx: u32,
-    sy: u32,
-    halo: f64,
-}
-
-impl ShardMap {
-    /// Creates a map of `sx × sy` shards over `bounds` with ghost
-    /// coverage `halo` around every cut.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a shard axis is zero or the halo is not a finite
-    /// non-negative width.
-    pub fn new(bounds: Rect, sx: u32, sy: u32, halo: f64) -> Self {
-        assert!(sx >= 1 && sy >= 1, "shard grid must be at least 1x1");
-        assert!(
-            halo.is_finite() && halo >= 0.0,
-            "halo must be finite and non-negative, got {halo}"
-        );
-        ShardMap {
-            bounds,
-            sx,
-            sy,
-            halo,
-        }
-    }
-
-    /// Total number of shards.
-    pub fn shards(&self) -> usize {
-        (self.sx as usize) * (self.sy as usize)
-    }
-
-    /// Shards per side, `(sx, sy)`.
-    pub fn grid(&self) -> (u32, u32) {
-        (self.sx, self.sy)
-    }
-
-    /// The halo width around every cut line.
-    pub fn halo(&self) -> f64 {
-        self.halo
-    }
-
-    /// The nominal (finite) domain the map partitions.
-    pub fn bounds(&self) -> Rect {
-        self.bounds
-    }
-
-    fn cut_x(&self, k: u32) -> f64 {
-        self.bounds.x_lo + k as f64 * (self.bounds.width() / self.sx as f64)
-    }
-
-    fn cut_y(&self, k: u32) -> f64 {
-        self.bounds.y_lo + k as f64 * (self.bounds.height() / self.sy as f64)
-    }
-
-    /// The finite tile of shard `i` (row-major: `i = row * sx + col`),
-    /// for display and metrics.
-    pub fn tile(&self, i: usize) -> Rect {
-        let (col, row) = (i as u32 % self.sx, i as u32 / self.sx);
-        Rect::new(
-            self.cut_x(col),
-            self.cut_y(row),
-            if col + 1 == self.sx {
-                self.bounds.x_hi
-            } else {
-                self.cut_x(col + 1)
-            },
-            if row + 1 == self.sy {
-                self.bounds.y_hi
-            } else {
-                self.cut_y(row + 1)
-            },
-        )
-    }
-
-    /// The rectangle shard `i` *owns* — its tile with outer edges
-    /// extended to ±infinity, so the owned rectangles of all shards
-    /// tile the entire plane. Per-shard answers are clipped to this.
-    pub fn owned(&self, i: usize) -> Rect {
-        let (col, row) = (i as u32 % self.sx, i as u32 / self.sx);
-        Rect::new(
-            if col == 0 {
-                f64::NEG_INFINITY
-            } else {
-                self.cut_x(col)
-            },
-            if row == 0 {
-                f64::NEG_INFINITY
-            } else {
-                self.cut_y(row)
-            },
-            if col + 1 == self.sx {
-                f64::INFINITY
-            } else {
-                self.cut_x(col + 1)
-            },
-            if row + 1 == self.sy {
-                f64::INFINITY
-            } else {
-                self.cut_y(row + 1)
-            },
-        )
-    }
-
-    /// The region shard `i` ingests: its owned rectangle inflated by
-    /// the halo. An update is routed to shard `i` iff its
-    /// [`Update::routing_bbox`] intersects this (closed semantics —
-    /// touching the halo edge still routes, a superset of what
-    /// exactness needs).
-    pub fn ingest_region(&self, i: usize) -> Rect {
-        self.owned(i).inflate(self.halo)
-    }
-
-    /// Indices of every shard whose ingest region intersects `bbox`.
-    pub fn route(&self, bbox: &Rect) -> impl Iterator<Item = usize> + '_ {
-        let bbox = *bbox;
-        (0..self.shards()).filter(move |&i| self.ingest_region(i).intersects(&bbox))
-    }
-}
 
 /// One leaf of an adaptive [`Partition`]: a finite tile with a stable
 /// shard id and the ancestry of tiles it was split out of.
@@ -238,16 +111,17 @@ fn rect_bits(r: &Rect) -> (u64, u64, u64, u64) {
     )
 }
 
-/// An adaptive spatial partition: a grid of root tiles, each
-/// recursively splittable into quadrants and re-mergeable, behind the
-/// same routing/halo/owned-rect contract as [`ShardMap`].
+/// The plane's spatial partition: a regular `Sx × Sy` grid of root
+/// tiles over the monitored domain ([`grid`](Partition::grid)), each
+/// recursively splittable into quadrants and re-mergeable, with a halo
+/// of ghost coverage around every cut line.
 ///
-/// A partition built by [`from_grid`](Partition::from_grid) produces
-/// bit-identical `tile`/`owned`/`ingest_region`/`route` results to the
-/// `ShardMap` it mirrors, so a never-split adaptive plane behaves
-/// exactly like the fixed grid it replaced. `epoch` increments on every
-/// topology change; log shipments carry it so replicas re-bootstrap
-/// instead of misapplying offsets cut under another topology.
+/// Each leaf (shard) owns one sub-rectangle — edge leaves own out to
+/// infinity, so the owned rectangles tile the whole plane — and
+/// ingests everything whose trajectory passes within `halo` of it.
+/// `epoch` increments on every topology change; log shipments carry it
+/// so replicas re-bootstrap instead of misapplying offsets cut under
+/// another topology.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     bounds: Rect,
@@ -258,20 +132,50 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Mirrors a fixed [`ShardMap`]: one root leaf per grid cell, in
-    /// the map's row-major order, with stable ids `0..n`.
-    pub fn from_grid(map: &ShardMap) -> Self {
-        let n = map.shards();
+    /// A regular grid of `sx × sy` root leaves over `bounds` with ghost
+    /// coverage `halo` around every cut, in row-major order (`i = row *
+    /// sx + col`) with stable ids `0..n`.
+    ///
+    /// Interior cuts replicate the grid arithmetic of the engine
+    /// structures (`lo + k * (extent / s)`), though exactness does not
+    /// depend on cut alignment — the merge canonicalizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a shard axis is zero or the halo is not a finite
+    /// non-negative width.
+    pub fn grid(bounds: Rect, sx: u32, sy: u32, halo: f64) -> Self {
+        assert!(sx >= 1 && sy >= 1, "shard grid must be at least 1x1");
+        assert!(
+            halo.is_finite() && halo >= 0.0,
+            "halo must be finite and non-negative, got {halo}"
+        );
+        let cut_x = |k: u32| bounds.x_lo + k as f64 * (bounds.width() / sx as f64);
+        let cut_y = |k: u32| bounds.y_lo + k as f64 * (bounds.height() / sy as f64);
+        let n = sx * sy;
         Partition {
-            bounds: map.bounds(),
-            halo: map.halo(),
+            bounds,
+            halo,
             epoch: 0,
-            next_id: n as u32,
+            next_id: n,
             leaves: (0..n)
-                .map(|i| PartLeaf {
-                    id: i as u32,
-                    tile: map.tile(i),
-                    path: Vec::new(),
+                .map(|i| {
+                    let (col, row) = (i % sx, i / sx);
+                    let x_hi = if col + 1 == sx {
+                        bounds.x_hi
+                    } else {
+                        cut_x(col + 1)
+                    };
+                    let y_hi = if row + 1 == sy {
+                        bounds.y_hi
+                    } else {
+                        cut_y(row + 1)
+                    };
+                    PartLeaf {
+                        id: i,
+                        tile: Rect::new(cut_x(col), cut_y(row), x_hi, y_hi),
+                        path: Vec::new(),
+                    }
                 })
                 .collect(),
         }
@@ -343,7 +247,10 @@ impl Partition {
     }
 
     /// The region leaf `i` ingests: its owned rectangle inflated by the
-    /// halo (closed intersection semantics, same as [`ShardMap`]).
+    /// halo. An update is routed to leaf `i` iff its
+    /// [`Update::routing_bbox`] intersects this (closed semantics —
+    /// touching the halo edge still routes, a superset of what
+    /// exactness needs).
     pub fn ingest_region(&self, i: usize) -> Rect {
         self.owned(i).inflate(self.halo)
     }
@@ -700,12 +607,11 @@ pub struct ShardedEngine {
     /// cover them and density would silently be lost at cut lines.
     l_max: f64,
     plane: Arc<ShardPlane>,
-    /// Plane-level registry; each subscription is also registered (same
-    /// id) on every owning shard's inner engine.
+    /// The plane's only subscription registry. Inner engines hold no
+    /// subscriptions: each maintenance pass asks every shard to
+    /// evaluate just the groups its owned rectangle needs and
+    /// assembles each subscription from its owners' answers.
     subs: SubscriptionTable,
-    /// Subscription id → indices of the shards whose owned rectangle
-    /// intersects its region.
-    sub_owners: HashMap<u64, Vec<usize>>,
     updates_applied: u64,
     rejected_updates: u64,
     queries_served: AtomicU64,
@@ -750,44 +656,24 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds the plane: `build(i)` constructs shard `i`'s inner engine
-    /// (each one a full-domain engine that will simply see a routed
-    /// subset of the traffic). `l_max` is the largest neighborhood edge
-    /// the map's halo was sized for; larger queries are refused.
+    /// Builds the plane over `part`: `build(i)` constructs shard `i`'s
+    /// inner engine (each one a full-domain engine that will simply see
+    /// a routed subset of the traffic), and is kept to mint shards for
+    /// later splits, merges and reshaping restores. `l_max` is the
+    /// largest neighborhood edge the partition's halo was sized for;
+    /// larger queries are refused.
     ///
     /// # Panics
     ///
     /// Panics when `l_max` is non-finite or non-positive.
     pub fn new(
         name: &'static str,
-        map: ShardMap,
-        horizon: TimeHorizon,
-        t_start: Timestamp,
-        threads: usize,
-        l_max: f64,
-        build: impl FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync + 'static,
-    ) -> Self {
-        Self::with_partition(
-            name,
-            Partition::from_grid(&map),
-            horizon,
-            t_start,
-            threads,
-            l_max,
-            Box::new(build),
-        )
-    }
-
-    /// Builds the plane over an explicit [`Partition`]; [`new`](Self::new)
-    /// is the grid-shaped convenience wrapper.
-    pub fn with_partition(
-        name: &'static str,
         part: Partition,
         horizon: TimeHorizon,
         t_start: Timestamp,
         threads: usize,
         l_max: f64,
-        mut builder: Box<dyn FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync>,
+        mut build: impl FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync + 'static,
     ) -> Self {
         assert!(
             l_max.is_finite() && l_max > 0.0,
@@ -806,7 +692,7 @@ impl ShardedEngine {
                 let wal = Wal::new_segment_with(header, WalCodec::V2);
                 let checkpoint_offset = wal.offset();
                 RwLock::new(ShardState {
-                    engine: builder(i),
+                    engine: build(i),
                     wal,
                     checkpoint: None,
                     checkpoint_offset,
@@ -825,7 +711,6 @@ impl ShardedEngine {
                 degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
             }),
             subs: SubscriptionTable::new(),
-            sub_owners: HashMap::new(),
             updates_applied: 0,
             rejected_updates: 0,
             queries_served: AtomicU64::new(0),
@@ -833,7 +718,7 @@ impl ShardedEngine {
             repl_epoch: 1,
             fenced: AtomicBool::new(false),
             fenced_writes: AtomicU64::new(0),
-            builder,
+            builder: Box::new(build),
             router_table: HashMap::new(),
             owned_counts: vec![0; n],
             policy: None,
@@ -899,9 +784,9 @@ impl ShardedEngine {
         );
     }
 
-    /// The shards whose owned rectangle intersects `region` — the set a
-    /// subscription over `region` is registered on. Owned rectangles
-    /// tile the plane, so this is never empty.
+    /// The shards whose owned rectangle intersects `region` — the set
+    /// whose answers a subscription over `region` is assembled from.
+    /// Owned rectangles tile the plane, so this is never empty.
     fn owners_of(&self, region: &Rect) -> Vec<usize> {
         (0..self.plane.shards.len())
             .filter(|&i| self.plane.part.owned(i).intersects(region))
@@ -1256,34 +1141,13 @@ impl ShardedEngine {
     /// only live inside a single engine call), so the `Arc` is unique.
     fn take_plane(&mut self) -> ShardPlane {
         let placeholder = Arc::new(ShardPlane {
-            part: Partition::from_grid(&ShardMap::new(Rect::new(0.0, 0.0, 1.0, 1.0), 1, 1, 0.0)),
+            part: Partition::grid(Rect::new(0.0, 0.0, 1.0, 1.0), 1, 1, 0.0),
             shards: Vec::new(),
             degraded: Vec::new(),
         });
         match Arc::try_unwrap(std::mem::replace(&mut self.plane, placeholder)) {
             Ok(plane) => plane,
             Err(_) => unreachable!("plane Arc aliased outside an engine call"),
-        }
-    }
-
-    /// Re-registers every plane-level subscription on its (possibly
-    /// new) owner set and flags it for a `resync` marker. Called after
-    /// every topology change: `register_with_id` resets the inner
-    /// answer, so the next maintenance pass recomputes from scratch on
-    /// each owner — the plane-level diff stays exact throughout because
-    /// it is taken against the plane's own committed answer.
-    fn reroute_subscriptions(&mut self) {
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        self.sub_owners.clear();
-        for sub in specs {
-            let owners = self.owners_of(&sub.region);
-            for &i in &owners {
-                if let Some(t) = self.plane.write_shard(i).engine.subscriptions_mut() {
-                    t.register_with_id(sub);
-                }
-            }
-            self.sub_owners.insert(sub.id.0, owners);
-            self.subs.mark_resync(sub.id);
         }
     }
 
@@ -1602,13 +1466,13 @@ impl ShardedEngine {
     }
 
     /// Shared post-cutover bookkeeping: recount owned load for the new
-    /// leaf vector, re-route subscriptions (with resync markers), bump
+    /// leaf vector, flag subscriptions for a resync marker, bump
     /// the WAL epoch (old shipment offsets are meaningless against the
     /// new leaf order) and re-checkpoint every shard so bootstrap
     /// shipments always carry the new topology.
     fn finish_topology_change(&mut self) {
         self.recount_owned();
-        self.reroute_subscriptions();
+        self.subs.mark_resync_all();
         self.wal_epoch += 1;
         self.last_topology_at = Some(self.t_base);
         self.refresh_checkpoints();
@@ -2006,7 +1870,7 @@ impl DensityEngine for ShardedEngine {
         self.t_base = t_base;
         self.recount_owned();
         if reshape {
-            self.reroute_subscriptions();
+            self.subs.mark_resync_all();
         }
         // Segments reset: start a new epoch so shipped byte offsets
         // from the old log can never be misread against the new one.
@@ -2057,12 +1921,12 @@ impl DensityEngine for ShardedEngine {
         )
     }
 
-    fn subscriptions(&self) -> Option<&SubscriptionTable> {
-        Some(&self.subs)
+    fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
     }
 
-    fn subscriptions_mut(&mut self) -> Option<&mut SubscriptionTable> {
-        Some(&mut self.subs)
+    fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+        &mut self.subs
     }
 
     fn register_subscription(
@@ -2081,99 +1945,69 @@ impl DensityEngine for ShardedEngine {
                 l_max: self.l_max,
             });
         }
-        let id = self.subs.register(rho, l, region, policy)?;
-        let sub = *self.subs.get(id).expect("just registered");
-        let owners = self.owners_of(&region);
-        for &i in &owners {
-            let mut s = self.plane.write_shard(i);
-            match s.engine.subscriptions_mut() {
-                Some(table) => table.register_with_id(sub),
-                None => {
-                    // Roll back: leave no half-registered subscription.
-                    drop(s);
-                    for &j in &owners {
-                        if let Some(t) = self.plane.write_shard(j).engine.subscriptions_mut() {
-                            t.unregister(id);
-                        }
-                    }
-                    self.subs.unregister(id);
-                    return Err(SubError::Unsupported);
-                }
-            }
-        }
-        self.sub_owners.insert(id.0, owners);
-        Ok(id)
+        self.subs.register(rho, l, region, policy)
     }
 
-    fn unregister_subscription(&mut self, id: SubId) -> bool {
-        if !self.subs.unregister(id) {
-            return false;
-        }
-        for i in self.sub_owners.remove(&id.0).unwrap_or_default() {
-            if let Some(t) = self.plane.write_shard(i).engine.subscriptions_mut() {
-                t.unregister(id);
-            }
-        }
-        true
-    }
-
+    /// The sharded form of the one maintenance loop: every shard
+    /// evaluates just the groups its owned subscriptions need (through
+    /// its engine's [`eval_groups`](DensityEngine::eval_groups), fanned
+    /// out across shards), and each subscription is assembled from its
+    /// owners' full-domain answers clipped to `owned(i) ∩ region` with
+    /// one canonical union — point-set equality of the per-shard
+    /// answers (the halo invariant) makes it bit-identical to the
+    /// unsharded answer. A degraded or failing owner cannot vouch for
+    /// its sub-domain, so the subscription is marked degraded instead.
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
         if self.subs.is_empty() {
             return Vec::new();
         }
-        // Fan the inner incremental maintenance across shards — each
-        // shard patches its own (full-domain) answers for the subs it
-        // owns; the plane-level merge below turns those into one
-        // cut-independent canonical answer per subscription.
-        let plane = Arc::clone(&self.plane);
-        self.fan_out(move |i| {
-            plane.write_shard(i).engine.maintain_subscriptions(now);
-        });
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        let mut deltas = Vec::new();
-        for sub in specs {
-            let q_t = sub.policy.resolve(now);
-            let owners = self.sub_owners.get(&sub.id.0).cloned().unwrap_or_default();
-            // Clip each owning shard's maintained answer to its owned
-            // rectangle and merge canonically: point-set equality of
-            // the per-shard answers (the halo invariant) makes the
-            // merged rect list bit-identical to the unsharded one. A
-            // degraded owner cannot vouch for its sub-domain, so the
-            // subscription is marked degraded rather than patched with
-            // rects that may be wrong.
-            let mut parts: Vec<(RegionSet, Rect)> = Vec::with_capacity(owners.len());
-            let mut degraded = false;
-            for &i in &owners {
-                if self.plane.degraded[i].load(Ordering::Acquire) {
-                    degraded = true;
-                    break;
-                }
-                let s = self.plane.read_shard(i);
-                let inner = s.engine.subscriptions();
-                match (
-                    inner.and_then(|t| t.answer(sub.id)),
-                    inner.and_then(|t| t.is_degraded(sub.id)),
-                ) {
-                    (Some(rects), Some(false)) => parts.push((
-                        RegionSet::from_rects(rects.iter().copied()),
-                        self.plane.part.owned(i),
-                    )),
-                    _ => {
-                        degraded = true;
-                        break;
-                    }
-                }
+        let pass = self.subs.begin_pass(now);
+        let n = self.plane.shards.len();
+        let owners: Vec<Vec<usize>> = pass
+            .members
+            .iter()
+            .map(|(sub, _)| self.owners_of(&sub.region))
+            .collect();
+        // Per shard, the ascending indices of the groups it must answer.
+        let mut needed: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for ((_, g), owners) in pass.members.iter().zip(&owners) {
+            for &i in owners {
+                needed[i].push(*g);
             }
-            let delta = if degraded {
-                self.subs.mark_degraded(sub.id, now, q_t)
-            } else {
-                let merged =
-                    RegionSet::union_disjoint_clipped(parts.iter().map(|(rs, r)| (rs, *r)));
-                self.subs.commit(sub.id, merged, now, q_t)
-            };
-            deltas.extend(delta);
         }
-        deltas
+        for groups in &mut needed {
+            groups.sort_unstable();
+            groups.dedup();
+        }
+        let queries: Arc<Vec<Vec<PdrQuery>>> = Arc::new(
+            needed
+                .iter()
+                .map(|gs| gs.iter().map(|&g| pass.groups[g]).collect())
+                .collect(),
+        );
+        let plane = Arc::clone(&self.plane);
+        let answers = self.fan_out(move |i| plane.write_shard(i).engine.eval_groups(&queries[i]));
+        let part = &self.plane.part;
+        let degraded = &self.plane.degraded;
+        let mut owners = owners.into_iter();
+        self.subs.finish_pass(pass, |sub, g| {
+            let mut parts = Vec::new();
+            for i in owners.next().expect("one owner set per member") {
+                if degraded[i].load(Ordering::Acquire) {
+                    return None;
+                }
+                let k = needed[i]
+                    .binary_search(&g)
+                    .expect("owner evaluated the group");
+                let full = answers[i][k].as_ref().ok()?;
+                let clip = part
+                    .owned(i)
+                    .intersection(&sub.region)
+                    .expect("an owner's rectangle meets the region");
+                parts.push((full, clip));
+            }
+            Some(RegionSet::union_disjoint_clipped(parts))
+        })
     }
 
     fn stats(&self) -> EngineStats {
@@ -2224,6 +2058,11 @@ impl DensityEngine for ShardedEngine {
             wal_allocs += s.wal.allocs();
             wal_bytes += s.wal.offset() as u64;
         }
+        // Patches come from the plane's table alone (shards hold no
+        // subscriptions), so the plane's count replaces the shard sum.
+        if let Some((_, v)) = counters.iter_mut().find(|(n, _)| *n == "deltas_emitted") {
+            *v = self.subs.deltas_emitted();
+        }
         counters.push(("wal_allocs", wal_allocs));
         counters.push(("wal_bytes", wal_bytes));
         counters.push(("repl_epoch", self.repl_epoch));
@@ -2238,6 +2077,7 @@ impl DensityEngine for ShardedEngine {
         for i in 0..self.plane.shards.len() {
             self.plane.write_shard(i).engine.set_obs_enabled(on);
         }
+        self.subs.set_obs_enabled(on);
     }
 
     fn as_sharded(&self) -> Option<&ShardedEngine> {
@@ -2273,7 +2113,10 @@ impl DensityEngine for ShardedEngine {
                     st.objects,
                     st.updates_applied,
                     st.queries_served,
-                    s.engine.subscriptions().map_or(0, |t| t.len()),
+                    self.subs
+                        .subs()
+                        .filter(|sub| self.plane.part.owned(i).intersects(&sub.region))
+                        .count(),
                     s.engine.fault_stats().injected(),
                     s.engine.obs().to_json(),
                 )
@@ -2288,8 +2131,8 @@ mod tests {
     use super::*;
     use pdr_geometry::Point;
 
-    fn map_2x2() -> ShardMap {
-        ShardMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 2, 2, 10.0)
+    fn map_2x2() -> Partition {
+        Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), 2, 2, 10.0)
     }
 
     #[test]
@@ -2337,7 +2180,7 @@ mod tests {
 
     #[test]
     fn one_by_one_map_routes_everything_to_shard_zero() {
-        let map = ShardMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 1, 1, 0.0);
+        let map = Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), 1, 1, 0.0);
         let anywhere = Rect::new(-1e12, -1e12, 1e12, 1e12);
         assert_eq!(map.route(&anywhere).collect::<Vec<_>>(), vec![0]);
         assert_eq!(
@@ -2351,34 +2194,39 @@ mod tests {
     // Adaptive partition
     // -----------------------------------------------------------------
 
+    /// Grid cuts keep the engine structures' `lo + k * (extent / s)`
+    /// arithmetic bit for bit, with the last tile closing on the
+    /// domain's own upper edge.
     #[test]
-    fn partition_from_grid_matches_shard_map() {
-        let map = map_2x2();
-        let part = Partition::from_grid(&map);
-        assert_eq!(part.shards(), map.shards());
+    fn partition_grid_keeps_the_cut_arithmetic() {
+        let bounds = Rect::new(0.3, -7.1, 1000.7, 333.3);
+        let part = Partition::grid(bounds, 3, 7, 2.5);
+        assert_eq!(part.shards(), 21);
         assert_eq!(part.epoch(), 0);
-        for i in 0..map.shards() {
-            assert_eq!(part.tile(i), map.tile(i), "tile {i}");
-            assert_eq!(part.owned(i), map.owned(i), "owned {i}");
-        }
-        for bbox in [
-            Rect::new(10.0, 10.0, 20.0, 20.0),
-            Rect::new(41.0, 10.0, 45.0, 20.0),
-            Rect::new(49.0, 49.0, 51.0, 51.0),
-            Rect::new(150.0, 150.0, 160.0, 160.0),
-        ] {
-            assert_eq!(
-                part.route(&bbox).collect::<Vec<_>>(),
-                map.route(&bbox).collect::<Vec<_>>(),
-                "route {bbox:?}"
-            );
+        let cut_x = |k: u32| bounds.x_lo + k as f64 * (bounds.width() / 3.0);
+        let cut_y = |k: u32| bounds.y_lo + k as f64 * (bounds.height() / 7.0);
+        for i in 0..21u32 {
+            let (col, row) = (i % 3, i / 3);
+            let x_hi = if col == 2 {
+                bounds.x_hi
+            } else {
+                cut_x(col + 1)
+            };
+            let y_hi = if row == 6 {
+                bounds.y_hi
+            } else {
+                cut_y(row + 1)
+            };
+            let want = Rect::new(cut_x(col), cut_y(row), x_hi, y_hi);
+            let leaf = &part.leaves()[i as usize];
+            assert_eq!(leaf.id, i);
+            assert_eq!(rect_bits(&leaf.tile), rect_bits(&want), "tile {i}");
         }
     }
 
     #[test]
     fn partition_split_and_merge_round_trip() {
-        let map = ShardMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 1, 1, 15.0);
-        let mut part = Partition::from_grid(&map);
+        let mut part = Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), 1, 1, 15.0);
         let before = part.clone();
         let kids = part.split(0);
         assert_eq!(part.shards(), 4);
@@ -2421,8 +2269,7 @@ mod tests {
 
     #[test]
     fn partition_codec_round_trip() {
-        let map = map_2x2();
-        let mut part = Partition::from_grid(&map);
+        let mut part = map_2x2();
         part.split(1);
         part.split(3);
         let mut w = pdr_storage::ByteWriter::new();
@@ -2444,10 +2291,9 @@ mod tests {
     }
 
     fn fr_plane(sx: u32, sy: u32) -> ShardedEngine {
-        let map = ShardMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 15.0);
         ShardedEngine::new(
             "fr",
-            map,
+            Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 15.0),
             pdr_mobject::TimeHorizon::new(4, 4),
             0,
             1,

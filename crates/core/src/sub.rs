@@ -14,17 +14,31 @@
 //! The [`SubscriptionTable`] is the per-engine registry: it owns the
 //! subscriptions, their last committed answers, and the diff logic.
 //! Engines expose it through
-//! [`DensityEngine::subscriptions`](crate::DensityEngine::subscriptions);
-//! the default maintenance path recomputes each standing query, while
-//! FR and DH engines override it with a dirty-cell-driven incremental
-//! evaluation (see `pdr_histogram::DensityHistogram::dirty_cells_since`).
+//! [`DensityEngine::subscriptions`](crate::DensityEngine::subscriptions).
+//!
+//! One maintenance loop serves every engine
+//! ([`DensityEngine::maintain_subscriptions`](crate::DensityEngine::maintain_subscriptions)):
+//! the table groups the standing queries by `(ρ, l, resolved q_t)`, the
+//! engine evaluates each group's full-domain answer once through
+//! [`DensityEngine::eval_groups`](crate::DensityEngine::eval_groups), and
+//! the table commits each subscription's clipped answer — or marks it
+//! degraded when its group failed. Engines differ only in how they
+//! evaluate a group: the default runs one `try_query` per group, FR
+//! reuses clean candidate cells from its dirty-cell group cache (see
+//! `pdr_histogram::DensityHistogram::dirty_cells_since`) and DH reuses
+//! whole answers while the histogram epoch stands. A sharded plane
+//! keeps the only table; its shards hold no subscriptions and only
+//! evaluate the groups the plane hands them.
 
+use crate::obs::{Histogram, HistogramSnapshot};
+use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 /// Identifier of a standing subscription, unique within one engine
-/// plane (a sharded plane registers the same id on every owning shard).
+/// plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubId(pub u64);
 
@@ -217,8 +231,6 @@ impl AnswerDelta {
 /// Why a subscription could not be registered.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SubError {
-    /// The engine has no subscription support.
-    Unsupported,
     /// The requested neighborhood edge exceeds what the engine's shard
     /// halos cover: maintaining it would silently lose density at cut
     /// lines, so registration is refused instead.
@@ -235,7 +247,6 @@ pub enum SubError {
 impl std::fmt::Display for SubError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubError::Unsupported => write!(f, "engine has no subscription support"),
             SubError::EdgeExceedsHalo { l, l_max } => write!(
                 f,
                 "query edge l = {l} exceeds the sharded plane's l_max = {l_max}: \
@@ -263,13 +274,53 @@ struct SubState {
     resync: bool,
 }
 
+/// The bit-exact identity of a standing-query group, `(ρ, l, resolved
+/// q_t)`: ρ and `l` by bit pattern, so `0.05` and `0.05000…1` are
+/// distinct groups.
+pub(crate) type GroupKey = (u64, u64, Timestamp);
+
+/// The group key of a (resolved) group query.
+pub(crate) fn group_key(q: &PdrQuery) -> GroupKey {
+    (q.rho.to_bits(), q.l.to_bits(), q.q_t)
+}
+
+/// Drops every cached group evaluation whose key is not among `groups`
+/// (unregistered, or a sliding `q_t` moved on) — what each
+/// [`eval_groups`](crate::DensityEngine::eval_groups) override does
+/// before evaluating.
+pub(crate) fn retain_groups<V>(cache: &mut HashMap<GroupKey, V>, groups: &[PdrQuery]) {
+    cache.retain(|k, _| groups.iter().any(|q| group_key(q) == *k));
+}
+
+/// One maintenance pass between
+/// [`begin_pass`](SubscriptionTable::begin_pass) and
+/// [`finish_pass`](SubscriptionTable::finish_pass).
+#[derive(Debug)]
+pub(crate) struct Pass {
+    now: Timestamp,
+    /// Set when the pass is timed (accounting on, table non-empty).
+    started: Option<Instant>,
+    /// The distinct `(ρ, l, resolved q_t)` group queries, in key order.
+    pub(crate) groups: Vec<PdrQuery>,
+    /// Every subscription, in id order, with the index of its group in
+    /// `groups`.
+    pub(crate) members: Vec<(Subscription, usize)>,
+}
+
 /// Per-engine registry of standing subscriptions: owns the
-/// subscriptions, their last committed canonical answers, and the diff
-/// logic. Deterministic iteration order (by id).
-#[derive(Clone, Debug, Default)]
+/// subscriptions, their last committed canonical answers, the diff
+/// logic, and the maintenance-pass accounting. Deterministic iteration
+/// order (by id).
+#[derive(Debug, Default)]
 pub struct SubscriptionTable {
     subs: BTreeMap<u64, SubState>,
     next_id: u64,
+    /// Pass accounting is skipped — not even a clock read — while set.
+    obs_off: bool,
+    /// Patches emitted by maintenance passes.
+    deltas_emitted: u64,
+    /// Wall-clock latency of whole maintenance passes.
+    pass_latency: Histogram,
 }
 
 impl SubscriptionTable {
@@ -303,23 +354,15 @@ impl SubscriptionTable {
         }
         let id = SubId(self.next_id);
         self.next_id += 1;
-        self.register_with_id(Subscription {
+        let sub = Subscription {
             id,
             rho,
             l,
             region,
             policy,
-        });
-        Ok(id)
-    }
-
-    /// Registers (or replaces) a subscription under a caller-chosen id —
-    /// the sharded plane uses this to give every owning shard the same
-    /// id. Keeps `next_id` ahead of the inserted id.
-    pub fn register_with_id(&mut self, sub: Subscription) {
-        self.next_id = self.next_id.max(sub.id.0 + 1);
+        };
         self.subs.insert(
-            sub.id.0,
+            id.0,
             SubState {
                 sub,
                 answer: Vec::new(),
@@ -327,14 +370,15 @@ impl SubscriptionTable {
                 resync: false,
             },
         );
+        Ok(id)
     }
 
-    /// Flags `id` for a topology resync: the next patch (even an
-    /// otherwise-silent one) is emitted with `resync: true`. The sharded
-    /// plane calls this after re-routing a subscription to a new owner
-    /// set, so consumers learn the serving topology changed.
-    pub fn mark_resync(&mut self, id: SubId) {
-        if let Some(state) = self.subs.get_mut(&id.0) {
+    /// Flags every subscription for a topology resync: its next patch
+    /// (even an otherwise-silent one) is emitted with `resync: true`.
+    /// The sharded plane calls this after a split, merge or reshaping
+    /// restore, so consumers learn the serving topology changed.
+    pub fn mark_resync_all(&mut self) {
+        for state in self.subs.values_mut() {
             state.resync = true;
         }
     }
@@ -377,11 +421,87 @@ impl SubscriptionTable {
         RegionSet::union_disjoint_clipped([(full, region)])
     }
 
+    /// Starts a maintenance pass at clock `now`: groups the standing
+    /// queries by `(ρ, l, resolved q_t)`. The engine evaluates each of
+    /// the pass's groups once and hands the answers to
+    /// [`finish_pass`](Self::finish_pass).
+    pub(crate) fn begin_pass(&self, now: Timestamp) -> Pass {
+        let queries: Vec<(Subscription, PdrQuery)> = self
+            .subs
+            .values()
+            .map(|st| {
+                let s = st.sub;
+                (s, PdrQuery::new(s.rho, s.l, s.policy.resolve(now)))
+            })
+            .collect();
+        let mut index: BTreeMap<GroupKey, (usize, PdrQuery)> = queries
+            .iter()
+            .map(|(_, q)| (group_key(q), (0, *q)))
+            .collect();
+        let mut groups = Vec::with_capacity(index.len());
+        for (slot, q) in index.values_mut() {
+            *slot = groups.len();
+            groups.push(*q);
+        }
+        Pass {
+            now,
+            started: (!self.obs_off && !queries.is_empty()).then(Instant::now),
+            groups,
+            members: queries
+                .iter()
+                .map(|(s, q)| (*s, index[&group_key(q)].0))
+                .collect(),
+        }
+    }
+
+    /// Ends a maintenance pass: commits `answer(sub, group)` — the
+    /// subscription's canonical answer, already clipped to its region —
+    /// for every subscription of the pass, or marks it degraded when
+    /// `answer` is `None` (its group, or a shard it needs, failed).
+    /// Returns the emitted patches in id order.
+    pub(crate) fn finish_pass(
+        &mut self,
+        pass: Pass,
+        mut answer: impl FnMut(&Subscription, usize) -> Option<RegionSet>,
+    ) -> Vec<AnswerDelta> {
+        let mut deltas = Vec::new();
+        for (sub, g) in &pass.members {
+            let q_t = pass.groups[*g].q_t;
+            let delta = match answer(sub, *g) {
+                Some(clipped) => self.commit(sub.id, clipped, pass.now, q_t),
+                None => self.mark_degraded(sub.id, pass.now, q_t),
+            };
+            deltas.extend(delta);
+        }
+        if let Some(started) = pass.started {
+            self.pass_latency.record(started.elapsed());
+            self.deltas_emitted += deltas.len() as u64;
+        }
+        deltas
+    }
+
+    /// Turns pass accounting ([`deltas_emitted`](Self::deltas_emitted),
+    /// [`pass_latency`](Self::pass_latency)) on or off; on by default.
+    pub(crate) fn set_obs_enabled(&mut self, on: bool) {
+        self.obs_off = !on;
+    }
+
+    /// Patches emitted by maintenance passes so far.
+    pub(crate) fn deltas_emitted(&self) -> u64 {
+        self.deltas_emitted
+    }
+
+    /// Latency of whole maintenance passes (passes over an empty table
+    /// are not recorded).
+    pub(crate) fn pass_latency(&self) -> HistogramSnapshot {
+        self.pass_latency.snapshot()
+    }
+
     /// Commits a freshly computed canonical answer for `id`, clearing
     /// any degradation, and returns the patch against the previous
     /// committed answer. `None` when nothing changed (no rect moved, no
     /// degradation to clear) or the id is unknown.
-    pub fn commit(
+    fn commit(
         &mut self,
         id: SubId,
         answer: RegionSet,
@@ -414,12 +534,7 @@ impl SubscriptionTable {
     /// but correct as of its commit) and a rect-free degraded patch is
     /// returned on the transition into degradation. Repeated marks stay
     /// silent.
-    pub fn mark_degraded(
-        &mut self,
-        id: SubId,
-        now: Timestamp,
-        q_t: Timestamp,
-    ) -> Option<AnswerDelta> {
+    fn mark_degraded(&mut self, id: SubId, now: Timestamp, q_t: Timestamp) -> Option<AnswerDelta> {
         let state = self.subs.get_mut(&id.0)?;
         if state.degraded {
             return None;
@@ -511,7 +626,7 @@ mod tests {
         // An unchanged commit is silent — until a resync is pending, in
         // which case the marker forces an (otherwise empty) patch out.
         assert!(t.commit(id, ans.clone(), 1, 2).is_none());
-        t.mark_resync(id);
+        t.mark_resync_all();
         let d = t
             .commit(id, ans.clone(), 2, 3)
             .expect("resync forces a patch");

@@ -269,12 +269,7 @@ fn run_fuzz(seed: u64, steps: usize) {
         // query clipped to its region — both the plane's committed
         // answer and the external mirror reconstructed from deltas
         // (across re-routes and resync markers).
-        let subs: Vec<_> = adaptive
-            .subscriptions()
-            .expect("plane has a table")
-            .subs()
-            .copied()
-            .collect();
+        let subs: Vec<_> = adaptive.subscriptions().subs().copied().collect();
         assert_eq!(subs.len(), mirrors.len(), "step {step}");
         for sub in subs {
             let q_t = sub.policy.resolve(now);
@@ -282,7 +277,7 @@ fn run_fuzz(seed: u64, steps: usize) {
                 &canonical(&oracle.query(&PdrQuery::new(sub.rho, sub.l, q_t)).regions),
                 sub.region,
             );
-            let table = adaptive.subscriptions().expect("plane has a table");
+            let table = adaptive.subscriptions();
             assert_eq!(
                 table.answer(sub.id).expect("registered"),
                 reference.rects(),

@@ -9,7 +9,9 @@
 //! degradation invariant is pinned here instead, where the plan can be
 //! installed after ingest.
 
-use pdr_core::{DensityEngine, EngineSpec, FaultPlan, FrConfig, PdrQuery, ShardMap, ShardedEngine};
+use pdr_core::{
+    DensityEngine, EngineSpec, FaultPlan, FrConfig, Partition, PdrQuery, ShardedEngine,
+};
 use pdr_geometry::{Point, Rect};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon};
 
@@ -36,13 +38,13 @@ fn fr_cfg() -> FrConfig {
 fn plane() -> ShardedEngine {
     let cfg = fr_cfg();
     let pitch = EXTENT / cfg.m as f64;
-    let map = ShardMap::new(
+    let part = Partition::grid(
         Rect::new(0.0, 0.0, EXTENT, EXTENT),
         2,
         2,
         L / 2.0 + 2.0 * pitch,
     );
-    ShardedEngine::new("sharded-fr", map, cfg.horizon, 0, 1, L, move |_| {
+    ShardedEngine::new("sharded-fr", part, cfg.horizon, 0, 1, L, move |_| {
         EngineSpec::Fr(cfg).build(0)
     })
 }

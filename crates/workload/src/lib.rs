@@ -40,6 +40,7 @@ pub use queries::{query_workload, QuerySpec};
 pub use rng::StdRng;
 pub use serve::{
     default_deadline, ClientLoad, EngineLoad, FaultPolicy, QueryMix, ServeDriver, ServeReport,
+    SubscribeError,
 };
 pub use simple::{gaussian_clusters, uniform_population};
 pub use simulator::{DatasetSpec, TrafficSimulator};

@@ -139,7 +139,7 @@
 //! through the protocol.)
 
 use crate::netfault::{FrameFault, NetFaultInjector};
-use crate::serve::{backoff, FaultPolicy, ServeDriver};
+use crate::serve::{backoff, FaultPolicy, ServeDriver, SubscribeError};
 use pdr_core::{
     AnswerDelta, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError, ShippedSegment, SubId,
 };
@@ -445,37 +445,11 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary. Any
+/// socket error — a read timeout included — fails the read at once
+/// (see [`read_frame_within`]).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len = [0u8; 4];
-    match r.read(&mut len) {
-        Ok(0) => return Ok(None),
-        Ok(mut n) => {
-            while n < 4 {
-                let m = r.read(&mut len[n..])?;
-                if m == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn frame header",
-                    ));
-                }
-                n += m;
-            }
-        }
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    read_frame_within(r, None, None)
 }
 
 /// Writes one frame through an optional fault injector: the injector's
@@ -527,70 +501,76 @@ pub fn write_frame_faulted(
 /// blocked read re-checks the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// Reads one frame from a socket with bounded patience: `Ok(None)` on
-/// clean EOF (or an observed shutdown flag) at a frame boundary, a
-/// `TimedOut` error when the peer idles past `idle` without starting a
-/// frame or stalls longer than `frame` between bytes mid-frame. The
-/// stream must have a read timeout of [`READ_POLL`] installed — that
-/// is what turns blocking reads into poll steps.
-pub fn read_frame_deadline(
-    stream: &mut TcpStream,
-    idle: Duration,
-    frame: Duration,
+/// The one frame parser behind both ends of the wire: reads one frame,
+/// `Ok(None)` on clean EOF at a frame boundary.
+///
+/// Without `patience` (the client, [`read_frame`]) any socket error — a
+/// read timeout included — fails the read at once. With `patience =
+/// (idle, frame)` (the server) the stream must have a read timeout of
+/// [`READ_POLL`] installed, which turns blocking reads into poll steps:
+/// the read fails with `TimedOut` when the peer idles past `idle`
+/// without starting a frame or stalls longer than `frame` between bytes
+/// once a frame has begun (a half-written length prefix must not pin
+/// the worker), and a `shutdown` flag observed at a frame boundary
+/// reads as a clean close, so drain never hangs on a silent peer.
+pub fn read_frame_within(
+    r: &mut impl Read,
+    patience: Option<(Duration, Duration)>,
     shutdown: Option<&AtomicBool>,
 ) -> io::Result<Option<String>> {
     let started = Instant::now();
-    let mut last_progress = Instant::now();
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    // Header: idle patience while nothing has arrived, frame patience
-    // once the first byte is in (a half-written length prefix must not
-    // pin the worker).
-    while got < 4 {
-        match stream.read(&mut header[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn frame header",
-                    ))
-                };
-            }
-            Ok(n) => {
-                got += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if got == 0 {
-                    if shutdown.is_some_and(|f| f.load(Ordering::SeqCst)) {
-                        // Shutdown observed at a frame boundary: treat
-                        // as a clean close so drain never hangs on a
-                        // silent peer.
-                        return Ok(None);
-                    }
-                    if started.elapsed() > idle {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "idle connection reaped",
-                        ));
-                    }
-                } else if last_progress.elapsed() > frame {
+    let mut last_progress = started;
+    // Fills `buf` completely; `Ok(false)` on a clean close before the
+    // first byte of a frame (`boundary`: `buf` is the length prefix).
+    let mut fill = |buf: &mut [u8], boundary: bool| -> io::Result<bool> {
+        let mut got = 0usize;
+        while got < buf.len() {
+            match r.read(&mut buf[got..]) {
+                Ok(0) if boundary && got == 0 => return Ok(false),
+                Ok(0) => {
+                    let what = if boundary { "header" } else { "payload" };
                     return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
+                        io::ErrorKind::UnexpectedEof,
+                        format!("torn frame {what}"),
                     ));
                 }
+                Ok(n) => {
+                    got += n;
+                    last_progress = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) && patience.is_some() =>
+                {
+                    let (idle, frame) = patience.expect("checked by the guard");
+                    if boundary && got == 0 {
+                        if shutdown.is_some_and(|f| f.load(Ordering::SeqCst)) {
+                            return Ok(false);
+                        }
+                        if started.elapsed() > idle {
+                            return Err(io::Error::new(
+                                io::ErrorKind::TimedOut,
+                                "idle connection reaped",
+                            ));
+                        }
+                    } else if last_progress.elapsed() > frame {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "peer stalled mid-frame",
+                        ));
+                    }
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
+        Ok(true)
+    };
+    let mut header = [0u8; 4];
+    if !fill(&mut header, true)? {
+        return Ok(None);
     }
     let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
@@ -600,36 +580,7 @@ pub fn read_frame_deadline(
         ));
     }
     let mut buf = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn frame payload",
-                ))
-            }
-            Ok(n) => {
-                got += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if last_progress.elapsed() > frame {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    ));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    fill(&mut buf, false)?;
     String::from_utf8(buf)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
@@ -1166,10 +1117,9 @@ fn conn_loop(
         return;
     }
     loop {
-        let frame = match read_frame_deadline(
+        let frame = match read_frame_within(
             stream,
-            cfg.idle_timeout,
-            cfg.frame_timeout,
+            Some((cfg.idle_timeout, cfg.frame_timeout)),
             Some(&shared.shutdown),
         ) {
             Ok(Some(f)) => f,
@@ -1352,16 +1302,10 @@ fn serve_subscribe(
         Some(_) => return err_json("region must be a finite [x_lo,y_lo,x_hi,y_hi]"),
     };
     let mut d = driver.write().unwrap_or_else(|p| p.into_inner());
-    let label = match req.get("engine").and_then(Json::as_str) {
-        Some(l) => l.to_string(),
-        None => match d.labels().first() {
-            Some(l) => l.clone(),
-            None => return err_json("no engines registered"),
-        },
+    let label = match resolve_label(req, &d) {
+        Ok(label) => label,
+        Err(e) => return e,
     };
-    if d.engine(&label).is_none() {
-        return err_json("no such engine");
-    }
     match d.subscribe_on(&label, rho, l, region, QtPolicy::NowPlus(q_t)) {
         Ok(sid) => {
             {
@@ -1376,7 +1320,8 @@ fn serve_subscribe(
             route_deltas(shared, pending);
             format!("{{\"ok\":true,\"sub\":{},\"engine\":{label:?}}}", sid.0)
         }
-        Err(e) => format!(
+        Err(SubscribeError::NoSuchEngine(_)) => err_json("no such engine"),
+        Err(SubscribeError::Rejected(e)) => format!(
             "{{\"ok\":false,\"error\":\"subscribe\",\"detail\":{:?}}}",
             format!("{e}")
         ),
@@ -1394,12 +1339,9 @@ fn serve_unsubscribe(
         return err_json("unsubscribe needs sub");
     };
     let mut d = driver.write().unwrap_or_else(|p| p.into_inner());
-    let label = match req.get("engine").and_then(Json::as_str) {
-        Some(l) => l.to_string(),
-        None => match d.labels().first() {
-            Some(l) => l.clone(),
-            None => return err_json("no engines registered"),
-        },
+    let label = match resolve_label(req, &d) {
+        Ok(label) => label,
+        Err(e) => return e,
     };
     let owned = {
         let router = shared.subs.lock().unwrap_or_else(|p| p.into_inner());

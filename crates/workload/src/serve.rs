@@ -25,8 +25,8 @@ use crate::QuerySpec;
 use pdr_core::obs::{json_f64, Histogram, HistogramSnapshot, ObsReport};
 use pdr_core::{
     accuracy, exact_dense_regions, replay, AnswerDelta, DensityEngine, EngineAnswer, EngineStats,
-    Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId, Subscription,
-    SubscriptionTable, Wal, WalCodec, WalRecord,
+    Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId, SubscriptionTable,
+    Wal, WalCodec, WalRecord,
 };
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
@@ -497,13 +497,62 @@ impl Served {
     /// after a crash recovery the tick's deltas are lost mid-flight, so
     /// the consumer resynchronizes exactly like a reconnecting client.
     fn resync_mirrors(&mut self) {
-        if let Some(table) = self.engine.subscriptions() {
-            for (id, mirror) in &mut self.sub_mirrors {
-                *mirror = table.answer(*id).map(<[Rect]>::to_vec).unwrap_or_default();
+        let table = self.engine.subscriptions();
+        for (id, mirror) in &mut self.sub_mirrors {
+            *mirror = table.answer(*id).map(<[Rect]>::to_vec).unwrap_or_default();
+        }
+    }
+
+    /// Replays consumed deltas into the mirrors of their subscriptions.
+    fn replay(&mut self, deltas: &[AnswerDelta]) {
+        for d in deltas {
+            if let Some((_, mirror)) = self.sub_mirrors.iter_mut().find(|(id, _)| *id == d.id) {
+                d.apply_to(mirror);
             }
         }
     }
+
+    /// Registers a standing query and brings it up to date with one
+    /// maintenance pass at `now`, replaying the pass's deltas into the
+    /// mirrors; with `mirror`, the new subscription gets a mirror of
+    /// its own first. Returns the id and the pass's deltas.
+    fn subscribe(
+        &mut self,
+        (rho, l, region, policy): (f64, f64, Rect, QtPolicy),
+        now: Timestamp,
+        mirror: bool,
+    ) -> Result<(SubId, Vec<AnswerDelta>), SubError> {
+        let id = self.engine.register_subscription(rho, l, region, policy)?;
+        self.load.subs += 1;
+        if mirror {
+            self.sub_mirrors.push((id, Vec::new()));
+        }
+        let deltas = self.engine.maintain_subscriptions(now);
+        self.load.sub_deltas += deltas.len() as u64;
+        self.replay(&deltas);
+        Ok((id, deltas))
+    }
 }
+
+/// Why [`ServeDriver::subscribe_on`] could not register a subscription.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SubscribeError {
+    /// No engine is registered under the label.
+    NoSuchEngine(String),
+    /// The engine refused the standing query.
+    Rejected(SubError),
+}
+
+impl std::fmt::Display for SubscribeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubscribeError::NoSuchEngine(label) => write!(f, "no engine labelled {label:?}"),
+            SubscribeError::Rejected(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SubscribeError {}
 
 /// The journal a fault-tolerant serve run keeps: protocol records are
 /// appended *before* each engine mutation, engine checkpoints are taken
@@ -765,8 +814,7 @@ impl ServeDriver {
                 deltas = e.apply_batch_with_deltas(&updates, t_next);
             });
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
-            let has_subs = !s.sub_mirrors.is_empty()
-                || s.engine.subscriptions().is_some_and(|t| !t.is_empty());
+            let has_subs = !s.sub_mirrors.is_empty() || !s.engine.subscriptions().is_empty();
             if !has_subs {
                 continue;
             }
@@ -786,28 +834,20 @@ impl ServeDriver {
                 deltas = s
                     .engine
                     .subscriptions()
-                    .map(|t| {
-                        t.subs()
-                            .map(|sub| AnswerDelta {
-                                id: sub.id,
-                                now: t_next,
-                                q_t: sub.policy.resolve(t_next),
-                                added: Vec::new(),
-                                removed: Vec::new(),
-                                degraded: true,
-                                resync: false,
-                            })
-                            .collect()
+                    .subs()
+                    .map(|sub| AnswerDelta {
+                        id: sub.id,
+                        now: t_next,
+                        q_t: sub.policy.resolve(t_next),
+                        added: Vec::new(),
+                        removed: Vec::new(),
+                        degraded: true,
+                        resync: false,
                     })
-                    .unwrap_or_default();
+                    .collect();
             } else {
                 s.load.sub_deltas += deltas.len() as u64;
-                for d in &deltas {
-                    if let Some((_, mirror)) = s.sub_mirrors.iter_mut().find(|(id, _)| *id == d.id)
-                    {
-                        d.apply_to(mirror);
-                    }
-                }
+                s.replay(&deltas);
             }
             if self.delta_feed {
                 emitted.extend(deltas.into_iter().map(|d| (s.label.clone(), d)));
@@ -851,23 +891,15 @@ impl ServeDriver {
         l: f64,
         region: Option<Rect>,
         policy: QtPolicy,
-    ) -> Result<SubId, SubError> {
+    ) -> Result<SubId, SubscribeError> {
         let bounds = self.bounds();
         let now = self.sim.t_now();
         let Some(s) = self.engines.iter_mut().find(|s| s.label == label) else {
-            return Err(SubError::Unsupported);
+            return Err(SubscribeError::NoSuchEngine(label.to_string()));
         };
-        let id = s
-            .engine
-            .register_subscription(rho, l, region.unwrap_or(bounds), policy)?;
-        s.load.subs += 1;
-        let deltas = s.engine.maintain_subscriptions(now);
-        s.load.sub_deltas += deltas.len() as u64;
-        for d in &deltas {
-            if let Some((_, m)) = s.sub_mirrors.iter_mut().find(|(i, _)| *i == d.id) {
-                d.apply_to(m);
-            }
-        }
+        let (id, deltas) = s
+            .subscribe((rho, l, region.unwrap_or(bounds), policy), now, false)
+            .map_err(SubscribeError::Rejected)?;
         if self.delta_feed {
             let label = s.label.clone();
             self.pending_deltas
@@ -926,28 +958,15 @@ impl ServeDriver {
     /// its committed answer up to date (so the first tick's check does
     /// not compare an unmaintained empty answer).
     fn register_subscription_everywhere(&mut self, mix: &QueryMix) {
-        let (rho, l, region, policy) = self.next_sub_spec(mix);
+        let spec = self.next_sub_spec(mix);
         let now = self.sim.t_now();
         for s in &mut self.engines {
             if s.degraded_mode {
                 continue;
             }
-            let id = s
-                .engine
-                .register_subscription(rho, l, region, policy)
-                .unwrap_or_else(|e| panic!("{}: subscription rejected: {e}", s.label));
-            s.load.subs += 1;
-            let deltas = s.engine.maintain_subscriptions(now);
-            s.load.sub_deltas += deltas.len() as u64;
-            let mut mirror = Vec::new();
-            for d in deltas {
-                if d.id == id {
-                    d.apply_to(&mut mirror);
-                } else if let Some((_, m)) = s.sub_mirrors.iter_mut().find(|(i, _)| *i == d.id) {
-                    d.apply_to(m);
-                }
+            if let Err(e) = s.subscribe(spec, now, true) {
+                panic!("{}: subscription rejected: {e}", s.label);
             }
-            s.sub_mirrors.push((id, mirror));
         }
     }
 
@@ -979,23 +998,19 @@ impl ServeDriver {
             if s.degraded_mode {
                 continue;
             }
-            let Some(table) = s.engine.subscriptions() else {
-                continue;
-            };
-            let specs: Vec<Subscription> = table.subs().copied().collect();
-            for sub in specs {
-                let table = s.engine.subscriptions().expect("table just read");
+            let table = s.engine.subscriptions();
+            for sub in table.subs() {
                 if table.is_degraded(sub.id) == Some(true) {
                     continue;
                 }
-                let committed = table.answer(sub.id).expect("registered").to_vec();
+                let committed = table.answer(sub.id).expect("registered");
                 s.load.sub_checks += 1;
                 let mirrored = s
                     .sub_mirrors
                     .iter()
                     .find(|(id, _)| *id == sub.id)
                     .map(|(_, m)| m.as_slice());
-                if mirrored != Some(committed.as_slice()) {
+                if mirrored != Some(committed) {
                     s.load.sub_divergence += 1;
                     continue;
                 }
@@ -1010,7 +1025,7 @@ impl ServeDriver {
                     continue;
                 };
                 let reference = SubscriptionTable::clip(&answer.regions, sub.region);
-                if reference.rects() != committed.as_slice() {
+                if reference.rects() != committed {
                     s.load.sub_divergence += 1;
                 }
             }
@@ -1539,6 +1554,7 @@ mod tests {
     struct StubEngine {
         rect: Rect,
         updates: u64,
+        subs: SubscriptionTable,
     }
 
     impl DensityEngine for StubEngine {
@@ -1563,6 +1579,12 @@ mod tests {
                 ..EngineStats::default()
             }
         }
+        fn subscriptions(&self) -> &SubscriptionTable {
+            &self.subs
+        }
+        fn subscriptions_mut(&mut self) -> &mut SubscriptionTable {
+            &mut self.subs
+        }
     }
 
     /// Regression: a scored query with empty ground truth and a
@@ -1580,6 +1602,7 @@ mod tests {
                 Box::new(StubEngine {
                     rect: Rect::new(10.0, 10.0, 30.0, 30.0),
                     updates: 0,
+                    subs: SubscriptionTable::new(),
                 }),
             )
             .with_engine(

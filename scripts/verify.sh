@@ -269,25 +269,33 @@ serve_tcp_smoke() {
 }
 
 # Standing-subscription smoke: a 10-tick TCP serve with 8 standing
-# subscriptions registered over the wire. The client reconstructs each
+# subscriptions registered over the wire, once on an unsharded engine
+# and once on a 2x2 sharded plane (whose maintenance assembles each
+# subscription from its owning shards). The client reconstructs each
 # subscription's answer purely by replaying polled deltas and checks it
 # bit-identically against a from-scratch query (clipped client-side)
 # after every tick; the closing summary must report zero leaked
 # workers. Fails on a lost/degraded delta stream, any divergence, a
 # dirty exit, or a leaked thread.
 sub_smoke() {
-    step "subscription smoke (serve --listen + client --subs 8, 10 ticks)"
     if ! cargo build --release -p pdr-cli; then
         echo "FAIL: pdr-cli release build"
         fail=1
         return
     fi
+    sub_case
+    sub_case --shards 2x2
+}
+
+# One subscription smoke run; extra arguments go to `pdrcli serve`.
+sub_case() {
+    step "subscription smoke (serve --listen ${*:+$* }+ client --subs 8, 10 ticks)"
     portfile="$(mktemp /tmp/pdr-sub-port.XXXXXX)"
     serverlog="$(mktemp /tmp/pdr-sub-server.XXXXXX.log)"
     clientlog="$(mktemp /tmp/pdr-sub-client.XXXXXX.log)"
     rm -f "$portfile"
     target/release/pdrcli serve --objects 600 --extent 400 --ticks 1 \
-        --l 25 --count 8 --seed 11 \
+        --l 25 --count 8 --seed 11 "$@" \
         --listen 127.0.0.1:0 --port-file "$portfile" --deadline-ms 5000 \
         >"$serverlog" 2>&1 &
     server=$!
