@@ -240,8 +240,5 @@ fn main() {
         seed = skew.seed,
         merge_threshold = split_threshold / 8,
     );
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adaptive_shard.json");
-    std::fs::write(&out, &json).expect("write BENCH_adaptive_shard.json");
-    println!("wrote {}:\n{json}", out.display());
+    pdr_bench::write_artifact("adaptive_shard", &json);
 }

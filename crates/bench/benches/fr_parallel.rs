@@ -98,9 +98,5 @@ fn main() {
             .join(",\n"),
         speedup = serial_ms / best_parallel,
     );
-    // Cargo runs benches with the package directory as cwd; anchor the
-    // artifact at the workspace root so it lands in a stable place.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fr_parallel.json");
-    std::fs::write(&out, &json).expect("write BENCH_fr_parallel.json");
-    println!("wrote {}:\n{json}", out.display());
+    pdr_bench::write_artifact("fr_parallel", &json);
 }

@@ -364,8 +364,5 @@ fn main() {
     );
     // Cargo runs benches with the package directory as cwd; anchor the
     // artifact at the workspace root so it lands in a stable place.
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve_concurrency.json");
-    std::fs::write(&out, &json).expect("write BENCH_serve_concurrency.json");
-    println!("wrote {}:\n{json}", out.display());
+    pdr_bench::write_artifact("serve_concurrency", &json);
 }

@@ -205,8 +205,5 @@ fn main() {
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
-    let out =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sub_incremental.json");
-    std::fs::write(&out, &json).expect("write BENCH_sub_incremental.json");
-    println!("wrote {}:\n{json}", out.display());
+    pdr_bench::write_artifact("sub_incremental", &json);
 }

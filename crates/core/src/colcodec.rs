@@ -1,5 +1,6 @@
 //! Columnar compression primitives shared by the codec2 WAL record
-//! format and the v2 FR checkpoint motion table.
+//! format and the one motion-table encoding, used by FR checkpoints and
+//! by the sharded plane's router table.
 //!
 //! The workload's numeric columns are highly predictable: object ids
 //! are dense and batch-local, timestamps are monotone (often constant

@@ -206,6 +206,11 @@ impl FrObs {
 /// [`missed_deletes`](FrEngine::missed_deletes) never stops).
 const MISSED_DELETE_LOG_LIMIT: u64 = 8;
 
+/// Layout version of an `FRCK` checkpoint (columnar motion table); a
+/// container of any other version is refused as
+/// [`RecoverError::Unsupported`].
+const FRCK_VERSION: u16 = 2;
+
 /// The exact PDR query engine: density histogram for filtering, a
 /// pluggable [`RangeIndex`] (TPR-tree by default) plus plane sweep for
 /// refinement.
@@ -735,7 +740,7 @@ impl<I: RangeIndex> FrEngine<I> {
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"FRCK");
-        w.put_u16(2);
+        w.put_u16(FRCK_VERSION);
         w.put_u64(self.t_start);
         w.put_u64(self.updates_applied);
         w.put_u64(self.missed_deletes);
@@ -761,40 +766,24 @@ impl<I: RangeIndex> FrEngine<I> {
         let payload = open_checkpoint(bytes)?;
         let mut r = ByteReader::new(payload);
         r.expect_magic(b"FRCK")?;
-        let version = r.get_u16()?;
-        if version != 1 && version != 2 {
+        if r.get_u16()? != FRCK_VERSION {
             return Err(RecoverError::Unsupported);
         }
         let t_start = r.get_u64()?;
         let updates_applied = r.get_u64()?;
         let missed_deletes = r.get_u64()?;
         let rejected_updates = r.get_u64()?;
-        let mut motions: Vec<(ObjectId, MotionState)>;
-        if version == 1 {
-            // Row-major legacy layout: one fixed-width record per motion.
-            let count = r.get_u64()? as usize;
-            motions = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = ObjectId(r.get_u64()?);
-                let origin = Point::new(r.get_f64()?, r.get_f64()?);
-                let velocity = Point::new(r.get_f64()?, r.get_f64()?);
-                let t_ref = r.get_u64()?;
-                let m = MotionState::try_new(id, origin, velocity, t_ref)
-                    .map_err(|_| RecoverError::Mismatch("non-finite motion in checkpoint"))?;
-                motions.push((id, m));
-            }
-        } else {
-            // Columnar layout: raw rows come back bit-exact; re-validate
-            // finiteness here since the codec does not.
-            let rows = crate::colcodec::get_motion_table(&mut r)?;
-            motions = Vec::with_capacity(rows.len());
-            for (id, m) in rows {
+        // Raw rows come back bit-exact; re-validate finiteness here
+        // since the codec does not.
+        let motions = crate::colcodec::get_motion_table(&mut r)?
+            .into_iter()
+            .map(|(id, m)| {
                 let id = ObjectId(id);
-                let m = MotionState::try_new(id, m.origin, m.velocity, m.t_ref)
-                    .map_err(|_| RecoverError::Mismatch("non-finite motion in checkpoint"))?;
-                motions.push((id, m));
-            }
-        }
+                MotionState::try_new(id, m.origin, m.velocity, m.t_ref)
+                    .map(|m| (id, m))
+                    .map_err(|_| RecoverError::Mismatch("non-finite motion in checkpoint"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let hist_bytes = &payload[payload.len() - r.remaining()..];
         let histogram = DensityHistogram::deserialize(hist_bytes)?;
         if histogram.grid().cells_per_side() != self.cfg.m {
@@ -1201,52 +1190,23 @@ mod tests {
         );
     }
 
-    /// Version-1 checkpoints (row-major motion table) written before the
-    /// columnar codec must keep restoring bit-identically.
+    /// Only the columnar layout restores: a container stamped with
+    /// the retired row-major version 1 is refused, never misread.
     #[test]
-    fn v1_checkpoint_still_restores() {
+    fn v1_checkpoint_is_refused_unsupported() {
         let pop = clustered_population(250, 43);
         let mut fr = FrEngine::new(cfg(), 0);
         fr.bulk_load(&pop, 0);
-        fr.advance_to(1);
-        let q = PdrQuery::new(0.05, 20.0, 3);
-        let want = fr.query(&q).regions;
-
-        // Hand-roll the legacy layout from live state.
-        let mut w = ByteWriter::new();
-        w.put_bytes(b"FRCK");
-        w.put_u16(1);
-        w.put_u64(fr.t_start);
-        w.put_u64(fr.updates_applied);
-        w.put_u64(fr.missed_deletes);
-        w.put_u64(fr.rejected_updates);
-        let mut motions: Vec<(ObjectId, MotionState)> =
-            fr.motions.iter().map(|(id, m)| (*id, *m)).collect();
-        motions.sort_unstable_by_key(|(id, _)| *id);
-        w.put_u64(motions.len() as u64);
-        for (id, m) in &motions {
-            w.put_u64(id.0);
-            w.put_f64(m.origin.x);
-            w.put_f64(m.origin.y);
-            w.put_f64(m.velocity.x);
-            w.put_f64(m.velocity.y);
-            w.put_u64(m.t_ref);
-        }
-        w.put_bytes(&fr.histogram.serialize());
-        let v1 = seal_checkpoint(&w.into_bytes());
+        let mut payload = open_checkpoint(&fr.checkpoint_bytes())
+            .expect("verifies")
+            .to_vec();
+        payload[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let v1 = seal_checkpoint(&payload);
 
         let mut restored = FrEngine::new(cfg(), 0);
-        restored.restore_from_bytes(&v1).expect("v1 restores");
-        let got = restored.query(&q).regions;
-        assert_eq!(want.rects(), got.rects(), "v1 restore diverged");
-
-        // The columnar v2 container is strictly smaller on the same state.
-        let v2 = fr.checkpoint_bytes();
-        assert!(
-            v2.len() < v1.len(),
-            "v2 checkpoint ({}) not smaller than v1 ({})",
-            v2.len(),
-            v1.len()
+        assert_eq!(
+            restored.restore_from_bytes(&v1).unwrap_err(),
+            RecoverError::Unsupported
         );
     }
 

@@ -631,6 +631,62 @@ mod tests {
     }
 
     #[test]
+    fn plane_checkpoint_is_the_bootstrap_recovery_point() {
+        // A plane checkpoint taken after 20 ticks becomes every shard's
+        // recovery point: a later bootstrap ships it plus only the
+        // segment tails from the offsets it recorded, not everything
+        // since the bulk load.
+        let mut primary = plane(2, 2);
+        primary.bulk_load(&seed_objects(), 0);
+        let tick = |primary: &mut ShardedEngine, t: Timestamp| {
+            primary.advance_to(t);
+            let batch: Vec<Update> = (0..6u64)
+                .map(|i| {
+                    Update::insert(
+                        ObjectId(1000 + t * 10 + i),
+                        t,
+                        MotionState::new(
+                            Point::new(45.0 + i as f64, 48.0 + (t % 4) as f64),
+                            Point::new(0.2, -0.1),
+                            t,
+                        ),
+                    )
+                })
+                .collect();
+            primary.apply_batch(&batch);
+        };
+        for t in 1..=20 {
+            tick(&mut primary, t);
+        }
+        primary.checkpoint().expect("plane checkpoints");
+        let marks = primary.wal_offsets();
+        for t in 21..=23 {
+            tick(&mut primary, t);
+        }
+
+        let ship = primary.wal_since(primary.wal_epoch(), &[]);
+        assert!(ship.checkpoint.is_some());
+        let starts: Vec<usize> = ship.segments.iter().map(|s| s.start).collect();
+        assert_eq!(starts, marks, "tails start at the checkpoint's offsets");
+        let mut replica = Replica::new(plane(2, 2));
+        assert!(
+            replica
+                .ingest(&ship)
+                .expect("bootstrap ingests")
+                .bootstrapped
+        );
+        assert_eq!(replica.applied_offsets(), primary.wal_offsets());
+        probe(&primary, &replica, 23);
+        let mut dense = 0;
+        for q in [PdrQuery::new(0.03, 10.0, 23), PdrQuery::new(0.05, 12.0, 24)] {
+            let a = primary.query(&q).regions;
+            assert_eq!(a.rects(), replica.query(&q).regions.rects(), "{q:?}");
+            dense += a.rects().len();
+        }
+        assert!(dense > 0, "the probes found no dense region to compare");
+    }
+
+    #[test]
     fn primary_restore_forces_replica_bootstrap() {
         let mut primary = plane(1, 1);
         primary.bulk_load(&seed_objects(), 0);
@@ -667,7 +723,6 @@ mod tests {
         // bit-identically.
         let mut primary = plane(2, 2);
         primary.bulk_load(&seed_objects(), 0);
-        primary.refresh_checkpoints();
         let mut replica = Replica::new(plane(1, 1));
         let report = replica
             .ingest(&primary.wal_since(replica.applied_epoch(), &[]))

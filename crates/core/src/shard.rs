@@ -50,13 +50,14 @@
 //! canonicalizing merge turns point-set equality into rectangle-list
 //! equality.
 
+use crate::colcodec::{get_motion_table, put_motion_table};
 use crate::engine::{DensityEngine, EngineAnswer, EngineStats};
 use crate::exec::Executor;
 use crate::obs::ObsReport;
 use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, SubscriptionTable};
 use crate::wal::{
-    open_checkpoint, replay, seal_checkpoint, segment_name, RecoverError, SegmentHeader, Wal,
-    WalCodec, WalRecord, SEGMENT_HEADER_LEN,
+    open_checkpoint, replay, restore_and_replay, seal_checkpoint, segment_name, RecoverError,
+    SegmentHeader, Wal, WalRecord, SEGMENT_HEADER_LEN,
 };
 use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
@@ -493,12 +494,37 @@ pub struct RebalanceReport {
 }
 
 /// Everything one shard owns: its engine, its WAL segment, and its
-/// latest checkpoint (with the segment offset it replays from).
+/// recovery point — the latest stored checkpoint and the segment offset
+/// its tail replays from. The checkpoint is shared, not copied, with
+/// the plane checkpoints and bootstrap shipments composed from it.
 struct ShardState {
     engine: Box<dyn DensityEngine>,
     wal: Wal,
-    checkpoint: Option<Vec<u8>>,
+    checkpoint: Option<Arc<Vec<u8>>>,
     checkpoint_offset: usize,
+}
+
+impl ShardState {
+    /// Seats `engine` as leaf `id` of an `n`-leaf plane on a fresh WAL
+    /// segment, with `checkpoint` (when given) as its recovery point at
+    /// the segment's first record.
+    fn new(
+        engine: Box<dyn DensityEngine>,
+        id: u32,
+        n: usize,
+        checkpoint: Option<Arc<Vec<u8>>>,
+    ) -> Self {
+        let wal = Wal::new_segment(SegmentHeader {
+            shard: id,
+            shards: n as u32,
+        });
+        ShardState {
+            engine,
+            checkpoint_offset: wal.offset(),
+            wal,
+            checkpoint,
+        }
+    }
 }
 
 /// The plane's shared state — everything the per-shard fan-out tasks
@@ -524,7 +550,8 @@ impl ShardPlane {
 
     /// Shard-local crash recovery: restore the shard's checkpoint and
     /// replay its WAL segment tail. The rest of the plane is untouched.
-    fn recover_shard(&self, i: usize) -> Result<(), ()> {
+    /// `false` when the shard has no checkpoint or recovery fails.
+    fn recover_shard(&self, i: usize) -> bool {
         let mut s = self.write_shard(i);
         let ShardState {
             engine,
@@ -532,18 +559,9 @@ impl ShardPlane {
             checkpoint,
             checkpoint_offset,
         } = &mut *s;
-        let Some(cp) = checkpoint.as_deref() else {
-            return Err(());
-        };
-        engine.restore_from(cp).map_err(|_| ())?;
-        let tail = replay(&wal.bytes()[*checkpoint_offset..]).map_err(|_| ())?;
-        for rec in tail.records {
-            match rec {
-                WalRecord::Advance(t) => engine.advance_to(t),
-                WalRecord::Batch(batch) => engine.apply_batch(&batch),
-            }
-        }
-        Ok(())
+        checkpoint.as_deref().is_some_and(|cp| {
+            restore_and_replay(engine.as_mut(), cp, &wal.bytes()[*checkpoint_offset..]).is_ok()
+        })
     }
 
     /// The degraded answer for shard `i`, or the error that forced it.
@@ -579,7 +597,7 @@ impl ShardPlane {
         if err.is_transient() {
             return Err(err);
         }
-        if err.is_corruption() && self.recover_shard(i).is_ok() {
+        if err.is_corruption() && self.recover_shard(i) {
             if let Ok(a) = self.read_shard(i).engine.try_query(q) {
                 return Ok(a);
             }
@@ -680,24 +698,10 @@ impl ShardedEngine {
             "l_max must be a positive finite edge length, got {l_max}"
         );
         let n = part.shards();
+        // Each shard starts on its own segment with no recovery point:
+        // the first one is recorded by `bulk_load` or `checkpoint`.
         let shards = (0..n)
-            .map(|i| {
-                let header = SegmentHeader {
-                    shard: part.leaves()[i].id,
-                    shards: n as u32,
-                };
-                // Per-shard segments write the columnar codec2 records;
-                // replay auto-detects per record, so pre-upgrade
-                // segments and legacy journals keep reading.
-                let wal = Wal::new_segment_with(header, WalCodec::V2);
-                let checkpoint_offset = wal.offset();
-                RwLock::new(ShardState {
-                    engine: build(i),
-                    wal,
-                    checkpoint: None,
-                    checkpoint_offset,
-                })
-            })
+            .map(|i| RwLock::new(ShardState::new(build(i), part.leaves()[i].id, n, None)))
             .collect();
         ShardedEngine {
             name,
@@ -742,7 +746,7 @@ impl ShardedEngine {
     pub fn promote_to(&mut self, epoch: u64) {
         self.repl_epoch = epoch;
         self.fenced.store(false, Ordering::SeqCst);
-        self.refresh_checkpoints();
+        self.record_recovery_points();
     }
 
     /// Observes a replication epoch seen on the wire: when it is newer
@@ -808,17 +812,23 @@ impl ShardedEngine {
         self.plane.read_shard(shard).engine.set_fault_plan(plan);
     }
 
-    /// Re-checkpoints every shard and marks its WAL segment position,
-    /// bounding shard-local replay work. Called automatically after
-    /// [`bulk_load`](DensityEngine::bulk_load).
-    pub fn refresh_checkpoints(&mut self) {
-        for i in 0..self.plane.shards.len() {
-            let mut s = self.plane.write_shard(i);
-            if let Some(cp) = s.engine.checkpoint() {
-                s.checkpoint = Some(cp);
+    /// Checkpoints every shard and stores the checkpoint with its
+    /// segment's current offset as the shard's recovery point — what
+    /// shard-local recovery, split handoffs and bootstrap shipments
+    /// start from, so their replay is bounded by the latest checkpoint.
+    /// Both halves of the pair are taken under the shard's lock.
+    /// Returns the checkpoints in shard order, or `None` when the inner
+    /// engines cannot checkpoint.
+    fn record_recovery_points(&self) -> Option<Vec<Arc<Vec<u8>>>> {
+        (0..self.plane.shards.len())
+            .map(|i| {
+                let mut s = self.plane.write_shard(i);
+                let cp = Arc::new(s.engine.checkpoint()?);
+                s.checkpoint = Some(Arc::clone(&cp));
                 s.checkpoint_offset = s.wal.offset();
-            }
-        }
+                Some(cp)
+            })
+            .collect()
     }
 
     /// Runs `f(i)` for every shard as one task group on the shared
@@ -932,26 +942,19 @@ impl ShardedEngine {
 
     /// Composes per-shard checkpoint payloads into one sealed
     /// container: a magic tag, the partition, the router's live-object
-    /// table, then per leaf `[len u64][crc u32][bytes]` in leaf order.
+    /// table (the columnar motion table FR checkpoints use), then per
+    /// leaf `[len u64][crc u32][bytes]` in leaf order.
     /// Embedding the partition is what lets a restore (or a replica
     /// bootstrap) adopt the sender's topology instead of refusing it.
-    fn compose_checkpoint(&self, parts: &[Vec<u8>]) -> Vec<u8> {
+    fn compose_checkpoint(&self, parts: &[Arc<Vec<u8>>]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(ADAPTIVE_CHECKPOINT_MAGIC);
         w.put_u64(self.t_base);
         self.plane.part.encode(&mut w);
-        let mut ids: Vec<&u64> = self.router_table.keys().collect();
-        ids.sort();
-        w.put_u32(self.router_table.len() as u32);
-        for id in ids {
-            let m = &self.router_table[id];
-            w.put_u64(*id);
-            w.put_f64(m.origin.x);
-            w.put_f64(m.origin.y);
-            w.put_f64(m.velocity.x);
-            w.put_f64(m.velocity.y);
-            w.put_u64(m.t_ref);
-        }
+        let mut table: Vec<(u64, MotionState)> =
+            self.router_table.iter().map(|(id, m)| (*id, *m)).collect();
+        table.sort_unstable_by_key(|(id, _)| *id);
+        put_motion_table(&mut w, &table);
         w.put_u32(parts.len() as u32);
         for cp in parts {
             w.put_u64(cp.len() as u64);
@@ -1018,33 +1021,31 @@ impl ShardedEngine {
                 segments,
             };
         }
-        // Bootstrap: ship the stored per-shard checkpoints (sealed as
-        // one container, with the partition and router table embedded)
-        // and each segment's tail from its checkpoint mark. Without a
-        // stored checkpoint (nothing bulk-loaded yet) the full segments
-        // from just past their headers reproduce the whole history.
-        let stored: Option<Vec<Vec<u8>>> = (0..n)
-            .map(|i| self.plane.read_shard(i).checkpoint.clone())
-            .collect();
-        let (checkpoint, starts): (Option<Vec<u8>>, Vec<usize>) = match stored {
-            Some(parts) => (
-                Some(self.compose_checkpoint(&parts)),
-                (0..n)
-                    .map(|i| self.plane.read_shard(i).checkpoint_offset)
-                    .collect(),
-            ),
-            None => (None, vec![SEGMENT_HEADER_LEN; n]),
-        };
+        // Bootstrap: ship every shard's recovery point — its stored
+        // checkpoint (all sealed as one container, with the partition
+        // and router table embedded) and its segment tail from the
+        // checkpoint's offset, both read under one lock. Before any
+        // checkpoint is stored, the full segments from just past their
+        // headers reproduce the whole history.
+        let mut parts = Vec::with_capacity(n);
         let segments = (0..n)
             .map(|i| {
                 let s = self.plane.read_shard(i);
+                let start = match &s.checkpoint {
+                    Some(cp) => {
+                        parts.push(Arc::clone(cp));
+                        s.checkpoint_offset
+                    }
+                    None => SEGMENT_HEADER_LEN,
+                };
                 ShippedSegment {
                     shard: self.plane.part.leaves()[i].id,
-                    start: starts[i],
-                    bytes: s.wal.bytes()[starts[i]..].to_vec(),
+                    start,
+                    bytes: s.wal.bytes()[start..].to_vec(),
                 }
             })
             .collect();
+        let checkpoint = (parts.len() == n).then(|| self.compose_checkpoint(&parts));
         LogShipment {
             shards: n as u32,
             epoch: self.wal_epoch,
@@ -1304,21 +1305,10 @@ impl ShardedEngine {
                 .into_inner();
             if slot == idx {
                 // Retire the source; seat the four children in place.
+                // Their recovery points are recorded at the cutover.
                 drop(state);
                 for (k, e) in children.drain(..).enumerate() {
-                    let header = SegmentHeader {
-                        shard: child_ids[k],
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
-                    let checkpoint = e.checkpoint();
-                    new_shards.push(RwLock::new(ShardState {
-                        engine: e,
-                        wal,
-                        checkpoint,
-                        checkpoint_offset,
-                    }));
+                    new_shards.push(RwLock::new(ShardState::new(e, child_ids[k], n, None)));
                     new_degraded.push(AtomicBool::new(source_degraded));
                 }
             } else {
@@ -1424,19 +1414,7 @@ impl ShardedEngine {
                 drop(state);
                 if slot == group[0] {
                     let engine = parent.take().expect("parent seated once");
-                    let header = SegmentHeader {
-                        shard: parent_id,
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
-                    let checkpoint = engine.checkpoint();
-                    new_shards.push(RwLock::new(ShardState {
-                        engine,
-                        wal,
-                        checkpoint,
-                        checkpoint_offset,
-                    }));
+                    new_shards.push(RwLock::new(ShardState::new(engine, parent_id, n, None)));
                     // The parent is rebuilt from the router table, not
                     // the children — a degraded child's lost state is
                     // re-derived, so the merged shard starts healthy.
@@ -1468,14 +1446,14 @@ impl ShardedEngine {
     /// Shared post-cutover bookkeeping: recount owned load for the new
     /// leaf vector, flag subscriptions for a resync marker, bump
     /// the WAL epoch (old shipment offsets are meaningless against the
-    /// new leaf order) and re-checkpoint every shard so bootstrap
-    /// shipments always carry the new topology.
+    /// new leaf order) and record every shard's recovery point so
+    /// bootstrap shipments always carry the new topology.
     fn finish_topology_change(&mut self) {
         self.recount_owned();
         self.subs.mark_resync_all();
         self.wal_epoch += 1;
         self.last_topology_at = Some(self.t_base);
-        self.refresh_checkpoints();
+        self.record_recovery_points();
     }
 
     /// The leaf with the highest owned load that the policy limits
@@ -1667,7 +1645,7 @@ impl DensityEngine for ShardedEngine {
         self.fan_out(move |i| {
             plane.write_shard(i).engine.bulk_load(&per_shard[i], t_now);
         });
-        self.refresh_checkpoints();
+        self.record_recovery_points();
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
@@ -1760,11 +1738,12 @@ impl DensityEngine for ShardedEngine {
         Some(merged)
     }
 
+    /// Composes a plane checkpoint and makes it every shard's recovery
+    /// point, so shard-local recovery and bootstrap shipments replay
+    /// only what follows it.
     fn checkpoint(&self) -> Option<Vec<u8>> {
-        let parts: Option<Vec<Vec<u8>>> = (0..self.plane.shards.len())
-            .map(|i| self.plane.read_shard(i).engine.checkpoint())
-            .collect();
-        Some(self.compose_checkpoint(&parts?))
+        let parts = self.record_recovery_points()?;
+        Some(self.compose_checkpoint(&parts))
     }
 
     fn restore_from(&mut self, bytes: &[u8]) -> Result<(), RecoverError> {
@@ -1777,91 +1756,71 @@ impl DensityEngine for ShardedEngine {
         }
         let t_base = r.get_u64()?;
         let part = Partition::decode(&mut r)?;
-        let table_len = r.get_u32()? as usize;
-        let mut table = HashMap::with_capacity(table_len);
-        for _ in 0..table_len {
-            let id = r.get_u64()?;
-            let origin = pdr_geometry::Point::new(r.get_f64()?, r.get_f64()?);
-            let velocity = pdr_geometry::Point::new(r.get_f64()?, r.get_f64()?);
-            let t_ref = r.get_u64()?;
-            table.insert(
-                id,
-                MotionState {
-                    origin,
-                    velocity,
-                    t_ref,
-                },
-            );
-        }
+        let table: HashMap<u64, MotionState> = get_motion_table(&mut r)?.into_iter().collect();
         let n = r.get_u32()? as usize;
         if n != part.shards() {
             return Err(RecoverError::Mismatch(
                 "checkpoint shard count disagrees with its own partition",
             ));
         }
-        // Adopt the checkpoint's topology. When the leaf set differs
-        // from the current plane's — a replica bootstrapping across a
-        // split/merge, or a restore after a topology change — the plane
-        // is re-shaped: fresh inner engines are minted by the stored
-        // builder and every plane-level subscription re-routes to the
-        // new owner set (with a resync marker on its next patch).
-        let reshape = self.plane.part.leaves() != part.leaves();
-        if reshape {
-            let shards = (0..n)
-                .map(|i| {
-                    let header = SegmentHeader {
-                        shard: part.leaves()[i].id,
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
-                    RwLock::new(ShardState {
-                        engine: (self.builder)(i),
-                        wal,
-                        checkpoint: None,
-                        checkpoint_offset,
-                    })
-                })
-                .collect();
-            self.plane = Arc::new(ShardPlane {
-                part,
-                shards,
-                degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            });
-        } else {
-            // Same leaf set; still adopt the epoch/next_id bookkeeping.
-            Arc::get_mut(&mut self.plane)
-                .expect("plane aliased outside a fan-out")
-                .part = part;
-        }
-        let mut pos = payload.len() - r.remaining();
-        for i in 0..n {
-            let mut r = ByteReader::new(&payload[pos..]);
+        let mut parts = Vec::with_capacity(n);
+        for _ in 0..n {
             let len = r.get_u64()? as usize;
             let crc = r.get_u32()?;
-            let header = 12;
-            let slice = payload
-                .get(pos + header..pos + header + len)
-                .ok_or(RecoverError::Codec(pdr_storage::CodecError::UnexpectedEof))?;
-            if crc32(slice) != crc {
+            let cp = r.get_bytes(len)?;
+            if crc32(cp) != crc {
                 return Err(RecoverError::Codec(pdr_storage::CodecError::Corrupt(
                     "per-shard checkpoint checksum mismatch",
                 )));
             }
-            pos += header + len;
-            let mut s = self.plane.write_shard(i);
-            s.engine.restore_from(slice)?;
-            s.checkpoint = Some(slice.to_vec());
-            s.wal = Wal::new_segment_with(
-                SegmentHeader {
-                    shard: self.plane.part.leaves()[i].id,
-                    shards: n as u32,
-                },
-                WalCodec::V2,
-            );
-            s.checkpoint_offset = s.wal.offset();
-            self.plane.degraded[i].store(false, Ordering::Release);
+            parts.push(cp);
         }
+        // Adopt the checkpoint's topology. When the leaf set differs
+        // from the current plane's — a replica bootstrapping across a
+        // split/merge, or a restore after a topology change — fresh
+        // inner engines are minted by the stored builder and restored
+        // before the plane changes, and every plane-level subscription
+        // re-routes to the new owner set (with a resync marker on its
+        // next patch). Otherwise each shard's engine restores in place.
+        // Either way every shard restarts on a fresh segment with the
+        // restored checkpoint as its recovery point.
+        let reshape = self.plane.part.leaves() != part.leaves();
+        let engines: Vec<Box<dyn DensityEngine>> = if reshape {
+            let mut fresh = Vec::with_capacity(n);
+            for (i, cp) in parts.iter().enumerate() {
+                let mut e = (self.builder)(i);
+                e.restore_from(cp)?;
+                fresh.push(e);
+            }
+            fresh
+        } else {
+            for (i, cp) in parts.iter().enumerate() {
+                self.plane.write_shard(i).engine.restore_from(cp)?;
+            }
+            self.take_plane()
+                .shards
+                .into_iter()
+                .map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()).engine)
+                .collect()
+        };
+        let shards = engines
+            .into_iter()
+            .zip(parts)
+            .enumerate()
+            .map(|(i, (e, cp))| {
+                RwLock::new(ShardState::new(
+                    e,
+                    part.leaves()[i].id,
+                    n,
+                    Some(Arc::new(cp.to_vec())),
+                ))
+            })
+            .collect();
+        self.plane = Arc::new(ShardPlane {
+            part,
+            shards,
+            degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        });
         self.router_table = table;
         // Rewind the router clock to the checkpoint's: the screening
         // window must match the restored state, or replaying the
@@ -2097,7 +2056,7 @@ impl DensityEngine for ShardedEngine {
                 format!(
                     "{{\"shard\":{i},\"segment\":\"{}\",\"tile\":[{},{},{},{}],\
                      \"degraded\":{},\"wal_records\":{},\"wal_bytes\":{},\
-                     \"wal_codec\":\"{}\",\"wal_allocs\":{},\
+                     \"wal_allocs\":{},\
                      \"objects\":{},\"updates_applied\":{},\"queries_served\":{},\
                      \"subs\":{},\"faults\":{},\"obs\":{}}}",
                     segment_name(i as u32),
@@ -2108,7 +2067,6 @@ impl DensityEngine for ShardedEngine {
                     self.plane.degraded[i].load(Ordering::Acquire),
                     s.wal.records(),
                     s.wal.bytes().len(),
-                    s.wal.codec().label(),
                     s.wal.allocs(),
                     st.objects,
                     st.updates_applied,

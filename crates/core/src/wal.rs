@@ -4,11 +4,12 @@
 //! counts, Chebyshev coefficient grids) as state that must survive
 //! faults: every tick's protocol traffic is appended to a [`Wal`]
 //! *before* it is applied, and engines periodically emit checkpoints
-//! sealed with [`seal_checkpoint`]. Recovery restores the latest
-//! checkpoint and replays the WAL tail; because every engine mutation
-//! is deterministic (integer histogram counters, order-preserving
-//! batches) the recovered engine answers queries **bit-identically** to
-//! one that never crashed — asserted by the crash-point sweep test.
+//! sealed with [`seal_checkpoint`]. Recovery ([`restore_and_replay`])
+//! restores the latest checkpoint and replays the WAL tail; because
+//! every engine mutation is deterministic (integer histogram counters,
+//! order-preserving batches) the recovered engine answers queries
+//! **bit-identically** to one that never crashed — asserted by the
+//! crash-point sweep test.
 //!
 //! Both layers are checksummed so corruption is detected, not
 //! consumed:
@@ -19,51 +20,33 @@
 //! * a checkpoint is wrapped `PDCK` + version + length + crc32 by
 //!   [`seal_checkpoint`] and verified by [`open_checkpoint`].
 //!
-//! Two record codecs share that frame format. [`WalCodec::V1`] is the
-//! original row-oriented layout (fixed-width fields per update).
-//! [`WalCodec::V2`] is columnar: a batch stores all ids, then all
-//! timestamps, then the kind column, then the motion columns —
+//! Records use one columnar codec (`codec2`): a batch stores all ids,
+//! then all timestamps, then the kind column, then the motion columns —
 //! LEB128 varints with delta coding for ids, delta-of-delta for
 //! `t_now`, `t_ref` relative to its row's `t_now`, run-length coding
 //! for the (alternating) kind column, and XOR-predicted raw-bits f64
-//! columns (see [`crate::colcodec`]). [`replay`] and [`replay_any`]
-//! decode both codecs bit-exactly; a log may even interleave them,
-//! since the codec is a per-record property of the payload tag.
+//! columns (see [`crate::colcodec`]). A payload tag other than the
+//! codec's two (advance, batch) is a format error, never a torn tail.
 
 use crate::colcodec::{get_xor_column_classed, put_xor_column_classed};
+use crate::engine::DensityEngine;
 use pdr_mobject::{MotionState, ObjectId, Timestamp, Update, UpdateKind};
-use pdr_storage::{crc32, ByteReader, ByteWriter, CodecError};
+use pdr_storage::{crc32, unzigzag64, zigzag64, ByteReader, ByteWriter, CodecError};
 use std::fmt;
 
-/// Record payload tags. Tags 1/2 are the row-oriented codec1 layout;
-/// tags 3/4 are the columnar codec2 layout.
-const TAG_ADVANCE: u8 = 1;
-const TAG_BATCH: u8 = 2;
-const TAG_ADVANCE2: u8 = 3;
-const TAG_BATCH2: u8 = 4;
+/// Record payload tags of codec2. Tags 1 and 2 belonged to a retired
+/// row-oriented codec and now decode as unknown tags.
+const TAG_ADVANCE: u8 = 3;
+const TAG_BATCH: u8 = 4;
 
-/// Which record codec a [`Wal`] writes. Readers never need this —
-/// every record names its codec in its payload tag.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The WAL record codec. Codec2 is the only one: this one-variant enum
+/// remains only because the repository benchmark (`perfbench/`) calls
+/// [`Wal::with_codec`]; ROADMAP item 6 deletes both with the next
+/// benchmark revision.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WalCodec {
-    /// Row-oriented fixed-width records (the original format).
-    #[default]
-    V1,
     /// Columnar delta/varint/XOR-predicted records (`codec2`).
     V2,
-}
-
-impl WalCodec {
-    /// Both codecs, for sweep-style tests and benches.
-    pub const ALL: [WalCodec; 2] = [WalCodec::V1, WalCodec::V2];
-
-    /// Stable lowercase label (`"codec1"` / `"codec2"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            WalCodec::V1 => "codec1",
-            WalCodec::V2 => "codec2",
-        }
-    }
 }
 
 /// One logical WAL record.
@@ -81,27 +64,18 @@ pub enum WalRecord {
 pub struct Wal {
     log: ByteWriter,
     records: u64,
-    codec: WalCodec,
     allocs: u64,
 }
 
 impl Wal {
-    /// An empty log writing the original codec1 records.
+    /// An empty log.
     pub fn new() -> Self {
         Wal::default()
     }
 
-    /// An empty log writing the given codec.
-    pub fn with_codec(codec: WalCodec) -> Self {
-        Wal {
-            codec,
-            ..Wal::default()
-        }
-    }
-
-    /// The codec this log writes (readers auto-detect per record).
-    pub fn codec(&self) -> WalCodec {
-        self.codec
+    /// An empty log; the same as [`Wal::new`] (see [`WalCodec`]).
+    pub fn with_codec(_codec: WalCodec) -> Self {
+        Wal::new()
     }
 
     /// The raw encoded log (what would be on disk).
@@ -128,26 +102,15 @@ impl Wal {
 
     /// Appends an `advance_to(t)` record.
     pub fn append_advance(&mut self, t: Timestamp) {
-        let codec = self.codec;
-        self.frame_with(|w| match codec {
-            WalCodec::V1 => {
-                w.put_u8(TAG_ADVANCE);
-                w.put_u64(t);
-            }
-            WalCodec::V2 => {
-                w.put_u8(TAG_ADVANCE2);
-                w.put_uvarint(t);
-            }
+        self.frame_with(|w| {
+            w.put_u8(TAG_ADVANCE);
+            w.put_uvarint(t);
         });
     }
 
     /// Appends an `apply_batch` record.
     pub fn append_batch(&mut self, updates: &[Update]) {
-        let codec = self.codec;
-        self.frame_with(|w| match codec {
-            WalCodec::V1 => encode_batch_v1(w, updates),
-            WalCodec::V2 => encode_batch_v2(w, updates),
-        });
+        self.frame_with(|w| encode_batch(w, updates));
     }
 
     /// Appends already-framed record bytes — a segment tail shipped
@@ -195,9 +158,9 @@ pub struct WalReplay {
 }
 
 /// Decodes `bytes` record by record, stopping cleanly at a torn tail.
-/// A record that passes its checksum but fails to decode is a format
-/// error (not a torn write) and is reported as `Err`. Records of both
-/// codecs are decoded transparently.
+/// A record that passes its checksum but fails to decode (an unknown
+/// tag included) is a format error, not a torn write, and is reported
+/// as `Err`.
 pub fn replay(bytes: &[u8]) -> Result<WalReplay, CodecError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -241,45 +204,6 @@ pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     offsets
 }
 
-// ---------------------------------------------------------------------
-// codec1: row-oriented records
-// ---------------------------------------------------------------------
-
-fn encode_batch_v1(w: &mut ByteWriter, updates: &[Update]) {
-    w.put_u8(TAG_BATCH);
-    w.put_u32(u32::try_from(updates.len()).expect("batch exceeds u32"));
-    for u in updates {
-        encode_update(w, u);
-    }
-}
-
-fn encode_update(w: &mut ByteWriter, u: &Update) {
-    w.put_u64(u.id.0);
-    w.put_u64(u.t_now);
-    let (kind, m) = match u.kind {
-        UpdateKind::Insert { motion } => (0u8, motion),
-        UpdateKind::Delete { old_motion } => (1u8, old_motion),
-    };
-    w.put_u8(kind);
-    w.put_f64(m.origin.x);
-    w.put_f64(m.origin.y);
-    w.put_f64(m.velocity.x);
-    w.put_f64(m.velocity.y);
-    w.put_u64(m.t_ref);
-}
-
-fn decode_update(r: &mut ByteReader<'_>) -> Result<Update, CodecError> {
-    let id = ObjectId(r.get_u64()?);
-    let t_now = r.get_u64()?;
-    let kind = r.get_u8()?;
-    let ox = r.get_f64()?;
-    let oy = r.get_f64()?;
-    let vx = r.get_f64()?;
-    let vy = r.get_f64()?;
-    let t_ref = r.get_u64()?;
-    build_update(id, t_now, kind, ox, oy, vx, vy, t_ref)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn build_update(
     id: ObjectId,
@@ -315,7 +239,7 @@ fn build_update(
 }
 
 // ---------------------------------------------------------------------
-// codec2: columnar records
+// Batch records
 // ---------------------------------------------------------------------
 //
 // Batch layout (after the tag):
@@ -356,16 +280,6 @@ fn build_update(
 // Velocity columns come before origin columns because the origin
 // prediction for row i reads the already-decoded velocity of row i-1
 // (full bits, sign included).
-
-/// Zigzag maps signed to unsigned so small magnitudes of either sign
-/// get small codes (0, -1, 1, -2, ... → 0, 1, 2, 3, ...).
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
 
 const SIGN_BIT: u64 = 1 << 63;
 
@@ -432,8 +346,8 @@ fn predict_coord(coord_bits: u64, vel_bits: u64, t_now: u64, t_ref: u64) -> u64 
     (f64::from_bits(coord_bits) + f64::from_bits(vel_bits) * dt).to_bits()
 }
 
-fn encode_batch_v2(w: &mut ByteWriter, updates: &[Update]) {
-    w.put_u8(TAG_BATCH2);
+fn encode_batch(w: &mut ByteWriter, updates: &[Update]) {
+    w.put_u8(TAG_BATCH);
     w.put_uvarint(updates.len() as u64);
     let n = updates.len();
     if n == 0 {
@@ -505,7 +419,7 @@ fn encode_batch_v2(w: &mut ByteWriter, updates: &[Update]) {
     let rels: Vec<u64> = updates
         .iter()
         .zip(&motions)
-        .map(|(u, m)| zigzag(m.t_ref.wrapping_sub(u.t_now) as i64))
+        .map(|(u, m)| zigzag64(m.t_ref.wrapping_sub(u.t_now) as i64))
         .collect();
     let mut i = 0;
     while i < n {
@@ -545,7 +459,7 @@ fn encode_batch_v2(w: &mut ByteWriter, updates: &[Update]) {
     put_xor_column_classed(w, &oy, &origin_preds(&oy, &vy));
 }
 
-fn decode_batch_v2(r: &mut ByteReader<'_>) -> Result<Vec<Update>, CodecError> {
+fn decode_batch(r: &mut ByteReader<'_>) -> Result<Vec<Update>, CodecError> {
     let n = r.get_uvarint()? as usize;
     if n == 0 {
         return Ok(Vec::new());
@@ -629,7 +543,7 @@ fn decode_batch_v2(r: &mut ByteReader<'_>) -> Result<Vec<Update>, CodecError> {
         } else {
             u64::from(rel_nibbles[i])
         };
-        t_ref.push(t_now[i].wrapping_add(unzigzag(rel) as u64));
+        t_ref.push(t_now[i].wrapping_add(unzigzag64(rel) as u64));
     }
 
     let vx = get_velocity_column(r, n)?;
@@ -673,17 +587,8 @@ fn decode_batch_v2(r: &mut ByteReader<'_>) -> Result<Vec<Update>, CodecError> {
 fn decode_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
     let mut r = ByteReader::new(payload);
     match r.get_u8()? {
-        TAG_ADVANCE => Ok(WalRecord::Advance(r.get_u64()?)),
-        TAG_BATCH => {
-            let n = r.get_u32()? as usize;
-            let mut updates = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                updates.push(decode_update(&mut r)?);
-            }
-            Ok(WalRecord::Batch(updates))
-        }
-        TAG_ADVANCE2 => Ok(WalRecord::Advance(r.get_uvarint()?)),
-        TAG_BATCH2 => Ok(WalRecord::Batch(decode_batch_v2(&mut r)?)),
+        TAG_ADVANCE => Ok(WalRecord::Advance(r.get_uvarint()?)),
+        TAG_BATCH => Ok(WalRecord::Batch(decode_batch(&mut r)?)),
         _ => Err(CodecError::Corrupt("unknown WAL record tag")),
     }
 }
@@ -692,12 +597,7 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
 // Per-shard WAL segments
 // ---------------------------------------------------------------------
 
-/// Magic prefix of a per-shard WAL *segment*. A legacy single-file
-/// journal starts with a frame length (a small little-endian `u32`), so
-/// the two layouts are unambiguous: `b"PDWS"` decodes as the
-/// implausible frame length `0x5357_4450` (> 1 GiB), which
-/// [`replay`] treats as a torn tail rather than data, and no real
-/// frame can start with these bytes.
+/// Magic prefix and version of a per-shard WAL segment header.
 const SEG_MAGIC: &[u8; 4] = b"PDWS";
 const SEG_VERSION: u16 = 1;
 
@@ -711,113 +611,50 @@ pub struct SegmentHeader {
     pub shards: u32,
 }
 
-/// Encoded byte length of a segment header.
+/// Encoded byte length of a segment header: records start here.
 pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 4 + 4;
 
-/// What kind of byte stream [`replay_any`] was handed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SegmentInfo {
-    /// A headerless journal written before the plane was sharded.
-    Legacy,
-    /// A per-shard segment with a complete, valid header.
-    Header(SegmentHeader),
-    /// Bytes that start with the full segment magic but end before
-    /// the header completes — a torn header write. The stream carries
-    /// no replayable records and no trustworthy shard identity; the
-    /// caller must treat the whole segment as torn, not as a legacy
-    /// journal.
-    TornHeader,
-}
-
-impl SegmentInfo {
-    /// The header, when a complete one was present.
-    pub fn header(self) -> Option<SegmentHeader> {
-        match self {
-            SegmentInfo::Header(h) => Some(h),
-            _ => None,
-        }
-    }
-}
-
-/// File name of shard `shard`'s WAL segment. The legacy single-file
-/// journal is [`LEGACY_JOURNAL_NAME`]; segment names embed a zero-padded
-/// shard index behind a distinct `.seg` infix, so no shard count can
-/// ever produce the legacy name (regression-tested).
+/// File name of shard `shard`'s WAL segment: a zero-padded shard index
+/// behind a `.seg` infix, distinct for every shard.
 pub fn segment_name(shard: u32) -> String {
     format!("journal.seg{shard:04}.wal")
 }
 
-/// The single-file journal name used before the plane was sharded.
-pub const LEGACY_JOURNAL_NAME: &str = "journal.wal";
-
-/// Encodes a segment header (prepend to an empty segment's bytes).
-pub fn encode_segment_header(h: SegmentHeader) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(SEGMENT_HEADER_LEN);
-    w.put_bytes(SEG_MAGIC);
-    w.put_u16(SEG_VERSION);
-    w.put_u32(h.shard);
-    w.put_u32(h.shards);
-    w.into_bytes()
-}
-
-/// Replays either layout: a headered per-shard segment, a legacy
-/// headerless journal, or a segment whose header write itself tore
-/// (classified [`SegmentInfo::TornHeader`], **not** misread as a
-/// legacy journal). This is the migration shim — a plane upgraded to
-/// per-shard segments keeps reading journals written before the
-/// upgrade.
-pub fn replay_any(bytes: &[u8]) -> Result<(SegmentInfo, WalReplay), CodecError> {
-    if bytes.len() >= 4 && &bytes[..4] == SEG_MAGIC {
-        if bytes.len() < SEGMENT_HEADER_LEN {
-            // The magic is unambiguous (no legacy frame can start with
-            // it), but the header tore mid-write: nothing after it is
-            // trustworthy.
-            return Ok((
-                SegmentInfo::TornHeader,
-                WalReplay {
-                    records: Vec::new(),
-                    torn_bytes: bytes.len(),
-                },
-            ));
-        }
-        let mut r = ByteReader::new(&bytes[..SEGMENT_HEADER_LEN]);
-        r.expect_magic(SEG_MAGIC)?;
-        let version = r.get_u16()?;
-        if version != SEG_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        let header = SegmentHeader {
-            shard: r.get_u32()?,
-            shards: r.get_u32()?,
-        };
-        return Ok((
-            SegmentInfo::Header(header),
-            replay(&bytes[SEGMENT_HEADER_LEN..])?,
-        ));
-    }
-    Ok((SegmentInfo::Legacy, replay(bytes)?))
-}
-
 impl Wal {
     /// An empty per-shard segment: its byte stream starts with the
-    /// encoded [`SegmentHeader`], so it can never be confused with (or
-    /// overwrite the meaning of) a legacy journal. Writes codec1
-    /// records; see [`Wal::new_segment_with`].
+    /// encoded [`SegmentHeader`] (`PDWS`, version, shard, shard count),
+    /// and its records start at [`SEGMENT_HEADER_LEN`].
     pub fn new_segment(header: SegmentHeader) -> Self {
-        Wal::new_segment_with(header, WalCodec::V1)
-    }
-
-    /// An empty per-shard segment writing the given record codec.
-    pub fn new_segment_with(header: SegmentHeader, codec: WalCodec) -> Self {
         let mut log = ByteWriter::with_capacity(SEGMENT_HEADER_LEN);
-        log.put_bytes(&encode_segment_header(header));
+        log.put_bytes(SEG_MAGIC);
+        log.put_u16(SEG_VERSION);
+        log.put_u32(header.shard);
+        log.put_u32(header.shards);
         Wal {
             log,
-            records: 0,
-            codec,
-            allocs: 0,
+            ..Wal::default()
         }
     }
+}
+
+/// Restores `engine` from a sealed checkpoint and replays `tail`, the
+/// WAL records appended after that checkpoint was taken: the one
+/// recovery routine of a served engine and of a plane's shard. A torn
+/// final record is dropped (it never ran); a record that fails to
+/// decode refuses the recovery.
+pub fn restore_and_replay(
+    engine: &mut dyn DensityEngine,
+    checkpoint: &[u8],
+    tail: &[u8],
+) -> Result<(), RecoverError> {
+    engine.restore_from(checkpoint)?;
+    for rec in replay(tail)?.records {
+        match rec {
+            WalRecord::Advance(t) => engine.advance_to(t),
+            WalRecord::Batch(batch) => engine.apply_batch(&batch),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -924,25 +761,27 @@ mod tests {
 
     #[test]
     fn wal_round_trip() {
-        for codec in WalCodec::ALL {
-            let mut wal = Wal::with_codec(codec);
-            wal.append_advance(5);
-            let batch = sample_updates();
-            wal.append_batch(&batch);
-            wal.append_advance(6);
-            assert_eq!(wal.records(), 3);
+        let mut wal = Wal::new();
+        wal.append_advance(5);
+        let batch = sample_updates();
+        wal.append_batch(&batch);
+        wal.append_advance(6);
+        assert_eq!(wal.records(), 3);
 
-            let replay = replay(wal.bytes()).expect("clean log decodes");
-            assert_eq!(replay.torn_bytes, 0, "{}", codec.label());
-            assert_eq!(replay.records.len(), 3);
-            assert_eq!(replay.records[0], WalRecord::Advance(5));
-            assert_eq!(replay.records[2], WalRecord::Advance(6));
-            let WalRecord::Batch(got) = &replay.records[1] else {
-                panic!("expected batch");
-            };
-            assert_eq!(got, &batch);
-        }
+        let replay = replay(wal.bytes()).expect("clean log decodes");
+        assert_eq!(replay.torn_bytes, 0);
+        assert_eq!(replay.records.len(), 3);
+        assert_eq!(replay.records[0], WalRecord::Advance(5));
+        assert_eq!(replay.records[2], WalRecord::Advance(6));
+        let WalRecord::Batch(got) = &replay.records[1] else {
+            panic!("expected batch");
+        };
+        assert_eq!(got, &batch);
     }
+
+    /// Bytes one update takes in a fixed-width row layout: id, t_now,
+    /// kind, four f64 motion fields and t_ref.
+    const ROW_BYTES_PER_UPDATE: usize = 8 + 8 + 1 + 4 * 8 + 8;
 
     #[test]
     fn codec2_batches_decode_bit_identically_and_smaller() {
@@ -961,30 +800,25 @@ mod tests {
             batch.push(Update::delete(ObjectId(100 + i), t_now, old));
             batch.push(Update::insert(ObjectId(100 + i), t_now, new));
         }
-        let mut v1 = Wal::new();
-        v1.append_batch(&batch);
-        let mut v2 = Wal::with_codec(WalCodec::V2);
-        v2.append_batch(&batch);
+        let mut wal = Wal::new();
+        wal.append_batch(&batch);
 
-        let r1 = replay(v1.bytes()).expect("codec1 decodes");
-        let r2 = replay(v2.bytes()).expect("codec2 decodes");
-        assert_eq!(r1.records, r2.records, "codecs must agree bit-exactly");
-        let WalRecord::Batch(got) = &r2.records[0] else {
-            panic!("expected batch");
-        };
-        assert_eq!(got, &batch);
+        let rep = replay(wal.bytes()).expect("codec2 decodes");
+        assert_eq!(rep.records, vec![WalRecord::Batch(batch.clone())]);
+        // The same record as one fixed-width row per update: frame,
+        // tag, u32 count, then the rows.
+        let row_log = 8 + 1 + 4 + ROW_BYTES_PER_UPDATE * batch.len();
         assert!(
-            v2.offset() * 2 <= v1.offset(),
-            "codec2 should be at least 2x smaller on the pair-shaped \
-             workload: v1={} v2={}",
-            v1.offset(),
-            v2.offset()
+            wal.offset() * 2 <= row_log,
+            "codec2 should be at least 2x smaller than fixed-width rows on \
+             the pair-shaped workload: rows={row_log} codec2={}",
+            wal.offset()
         );
     }
 
     #[test]
     fn codec2_handles_empty_and_single_row_batches() {
-        let mut wal = Wal::with_codec(WalCodec::V2);
+        let mut wal = Wal::new();
         wal.append_batch(&[]);
         let one = vec![sample_updates().remove(2)];
         wal.append_batch(&one);
@@ -994,33 +828,32 @@ mod tests {
     }
 
     #[test]
-    fn mixed_codec_log_replays_in_order() {
-        // The codec is a per-record property: a log whose tail was
-        // written by an upgraded writer replays seamlessly.
-        let mut wal = Wal::new();
-        wal.append_advance(1);
-        wal.append_batch(&sample_updates());
-        let mut tail = Wal::with_codec(WalCodec::V2);
-        tail.append_advance(2);
-        tail.append_batch(&sample_updates());
-        let mut bytes = wal.bytes().to_vec();
-        bytes.extend_from_slice(tail.bytes());
-        let rep = replay(&bytes).expect("mixed log decodes");
-        assert_eq!(rep.torn_bytes, 0);
-        assert_eq!(rep.records.len(), 4);
-        assert_eq!(rep.records[0], WalRecord::Advance(1));
-        assert_eq!(rep.records[2], WalRecord::Advance(2));
-        assert_eq!(rep.records[1], rep.records[3]);
+    fn retired_row_codec_tags_decode_as_corrupt() {
+        // Tags 1 and 2 framed with a valid checksum: a format error,
+        // never a torn tail and never decoded.
+        for tag in [1u8, 2] {
+            let mut w = ByteWriter::new();
+            let payload = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            w.put_u32(payload.len() as u32);
+            w.put_u32(crc32(&payload));
+            w.put_bytes(&payload);
+            assert_eq!(
+                replay(w.as_slice()).unwrap_err(),
+                CodecError::Corrupt("unknown WAL record tag"),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
     fn torn_tail_is_tolerated_not_consumed() {
         let mut wal = Wal::new();
         wal.append_advance(1);
+        let advance_frame = wal.offset();
         wal.append_batch(&sample_updates());
         let full = wal.bytes().to_vec();
         let boundaries = record_boundaries(&full);
-        assert_eq!(boundaries, vec![0, 17, full.len()]);
+        assert_eq!(boundaries, vec![0, advance_frame, full.len()]);
 
         // Truncate mid-record: only the first record survives.
         let torn = &full[..boundaries[1] + 5];
@@ -1043,137 +876,55 @@ mod tests {
         // Records are framed directly into the log buffer: the only
         // allocations are Vec growth, which amortizes to O(log n)
         // events — not one per append.
-        for codec in WalCodec::ALL {
-            let mut wal = Wal::with_codec(codec);
-            let batch = sample_updates();
-            for t in 0..1000u64 {
-                wal.append_advance(t);
-                wal.append_batch(&batch);
-            }
-            assert_eq!(wal.records(), 2000);
-            let cap = wal.bytes().len().next_power_of_two();
-            let bound = (cap.ilog2() + 2) as u64;
+        let mut wal = Wal::new();
+        let batch = sample_updates();
+        for t in 0..1000u64 {
+            wal.append_advance(t);
+            wal.append_batch(&batch);
+        }
+        assert_eq!(wal.records(), 2000);
+        let cap = wal.bytes().len().next_power_of_two();
+        let bound = (cap.ilog2() + 2) as u64;
+        assert!(
+            wal.allocs() <= bound,
+            "{} allocs for {} bytes (bound {})",
+            wal.allocs(),
+            wal.offset(),
+            bound
+        );
+    }
+
+    #[test]
+    fn segment_names_are_distinct() {
+        // Sweep a generous shard range: every segment name is distinct.
+        let mut seen = std::collections::HashSet::new();
+        for shard in 0..4096u32 {
             assert!(
-                wal.allocs() <= bound,
-                "{}: {} allocs for {} bytes (bound {})",
-                codec.label(),
-                wal.allocs(),
-                wal.offset(),
-                bound
+                seen.insert(segment_name(shard)),
+                "duplicate segment name for {shard}"
             );
         }
     }
 
     #[test]
-    fn segment_names_cannot_collide_with_legacy_journal() {
-        // Sweep a generous shard range: every segment name is distinct
-        // and none equals the legacy single-file journal name.
-        let mut seen = std::collections::HashSet::new();
-        for shard in 0..4096u32 {
-            let name = segment_name(shard);
-            assert_ne!(name, LEGACY_JOURNAL_NAME, "shard {shard}");
-            assert!(seen.insert(name), "duplicate segment name for {shard}");
-        }
-    }
-
-    #[test]
-    fn replay_any_reads_both_layouts() {
-        // New layout: headered per-shard segment.
-        let header = SegmentHeader {
+    fn segment_header_bytes_are_pinned_and_records_follow_it() {
+        let mut seg = Wal::new_segment(SegmentHeader {
             shard: 3,
             shards: 8,
-        };
-        for codec in WalCodec::ALL {
-            let mut seg = Wal::new_segment_with(header, codec);
-            seg.append_advance(7);
-            seg.append_batch(&sample_updates());
-            let (got, rep) = replay_any(seg.bytes()).expect("segment decodes");
-            assert_eq!(got, SegmentInfo::Header(header));
-            assert_eq!(rep.records.len(), 2);
-            assert_eq!(rep.records[0], WalRecord::Advance(7));
-
-            // Old layout: the same records written by a pre-shard
-            // journal are still replayed by the upgraded reader
-            // (migration shim).
-            let mut legacy = Wal::with_codec(codec);
-            legacy.append_advance(7);
-            legacy.append_batch(&sample_updates());
-            let (info, rep_legacy) = replay_any(legacy.bytes()).expect("legacy decodes");
-            assert_eq!(info, SegmentInfo::Legacy);
-            assert_eq!(rep_legacy.records, rep.records);
-
-            // A legacy reader fed a headered segment must not misparse
-            // it as records: the magic is an implausible frame length,
-            // so it reads as an all-torn tail, never as garbage
-            // updates.
-            let as_legacy = replay(seg.bytes()).expect("not a format error");
-            assert!(as_legacy.records.is_empty());
-            assert_eq!(as_legacy.torn_bytes, seg.bytes().len());
-
-            // Version gate.
-            let mut bad = seg.bytes().to_vec();
-            bad[4] = 9;
-            assert_eq!(replay_any(&bad).unwrap_err(), CodecError::BadVersion(9));
-        }
-    }
-
-    #[test]
-    fn torn_segment_header_is_classified_not_misread() {
-        // Kill a segment at every byte of its header. Once the full
-        // magic is visible the stream is unambiguously a segment with
-        // a torn header; before that it is indistinguishable from a
-        // legacy journal's torn frame header. In *every* case the
-        // replay yields zero records and reports all bytes torn —
-        // never a silent misread.
-        let mut seg = Wal::new_segment(SegmentHeader {
-            shard: 1,
-            shards: 4,
         });
-        seg.append_advance(9);
-        let full = seg.bytes().to_vec();
-        for cut in 0..SEGMENT_HEADER_LEN {
-            let torn = &full[..cut];
-            let (info, rep) = replay_any(torn).expect("torn header tolerated");
-            if cut >= 4 {
-                assert_eq!(info, SegmentInfo::TornHeader, "cut at {cut}");
-                assert_eq!(info.header(), None);
-            } else {
-                assert_eq!(info, SegmentInfo::Legacy, "cut at {cut}");
-            }
-            assert!(rep.records.is_empty(), "cut at {cut}");
-            assert_eq!(rep.torn_bytes, cut, "cut at {cut}");
-        }
-        // One byte past the torn range: the complete header parses.
-        let (info, _) = replay_any(&full[..SEGMENT_HEADER_LEN]).expect("header decodes");
         assert_eq!(
-            info,
-            SegmentInfo::Header(SegmentHeader {
-                shard: 1,
-                shards: 4
-            })
+            seg.bytes(),
+            b"PDWS\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00",
+            "shipped offsets depend on these bytes"
         );
-    }
-
-    #[test]
-    fn segment_header_survives_torn_tail() {
-        let mut seg = Wal::new_segment(SegmentHeader {
-            shard: 0,
-            shards: 2,
-        });
-        seg.append_advance(1);
+        assert_eq!(seg.offset(), SEGMENT_HEADER_LEN);
+        seg.append_advance(7);
         seg.append_batch(&sample_updates());
-        let full = seg.bytes().to_vec();
-        let torn = &full[..full.len() - 3];
-        let (h, rep) = replay_any(torn).expect("torn tail tolerated");
+        let rep = replay(&seg.bytes()[SEGMENT_HEADER_LEN..]).expect("records decode");
         assert_eq!(
-            h,
-            SegmentInfo::Header(SegmentHeader {
-                shard: 0,
-                shards: 2
-            })
+            rep.records,
+            vec![WalRecord::Advance(7), WalRecord::Batch(sample_updates())]
         );
-        assert_eq!(rep.records, vec![WalRecord::Advance(1)]);
-        assert!(rep.torn_bytes > 0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! entries are anchored with the same `position_at` arithmetic on load
 //! and on insert, and the refinement sweep sorts positions before
 //! comparing. The sweep exercises both checkpoints (the bulk-load one
-//! and a mid-run one) and a torn-tail case.
+//! and a mid-run one) and a torn-tail case, on the WAL's columnar
+//! codec2 records.
 
 use pdr_core::{
     record_boundaries, replay, DensityEngine, FrConfig, FrEngine, PdrQuery, RangeIndex, Wal,
-    WalCodec, WalRecord,
+    WalRecord,
 };
 use pdr_geometry::Point;
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
@@ -103,20 +104,11 @@ fn probe_queries(t_base: Timestamp) -> Vec<PdrQuery> {
 
 #[test]
 fn recovery_is_bit_identical_at_every_record_boundary() {
-    for codec in WalCodec::ALL {
-        boundary_sweep(codec);
-    }
-}
-
-/// The full crash-point sweep for one WAL record codec. Both the legacy
-/// row codec and the columnar codec2 must recover bit-identically at
-/// every boundary — the record *content* replayed is codec-independent.
-fn boundary_sweep(codec: WalCodec) {
     let w = workload(0xC0FFEE);
 
     // Live run: WAL-append before every mutation, checkpoints after the
     // bulk load and again mid-run.
-    let mut wal = Wal::with_codec(codec);
+    let mut wal = Wal::new();
     let mut live = FrEngine::new(cfg(), 0);
     live.bulk_load(&w.population, 0);
     // (checkpoint offset in records, sealed bytes)
@@ -179,8 +171,7 @@ fn boundary_sweep(codec: WalCodec) {
             assert_eq!(
                 a.regions.rects(),
                 b.regions.rects(),
-                "recovered answer diverges at record {k}, query {q:?}, {}",
-                codec.label()
+                "recovered answer diverges at record {k}, query {q:?}"
             );
             if !a.regions.rects().is_empty() {
                 nonempty_answers += 1;
@@ -195,14 +186,8 @@ fn boundary_sweep(codec: WalCodec) {
 
 #[test]
 fn torn_wal_tail_recovers_to_the_last_complete_record() {
-    for codec in WalCodec::ALL {
-        torn_tail_case(codec);
-    }
-}
-
-fn torn_tail_case(codec: WalCodec) {
     let w = workload(0xBEEF);
-    let mut wal = Wal::with_codec(codec);
+    let mut wal = Wal::new();
     let mut live = FrEngine::new(cfg(), 0);
     live.bulk_load(&w.population, 0);
     let ckpt = live.checkpoint_bytes();

@@ -2,11 +2,11 @@
 //! replica plane, driven by an in-repo seeded LCG (no external fuzzing
 //! or rand dependency).
 //!
-//! * **Codec differential.** The same logical record stream is framed
-//!   through the legacy row codec (`codec1`) and the columnar varint
-//!   codec (`codec2`); both logs must replay to the identical record
-//!   sequence, at every prefix boundary, and the columnar log must be
-//!   strictly smaller on re-report-shaped traffic.
+//! * **Codec round trip.** A random logical record stream is framed
+//!   through the WAL's columnar varint codec (`codec2`); the log must
+//!   replay to the identical record sequence at every prefix boundary,
+//!   and must be strictly smaller than the same records as fixed-width
+//!   rows (57 B per update) on re-report-shaped traffic.
 //! * **Replica differential.** A primary plane and a replica of the
 //!   same spec run under random interleavings of `apply_batch` /
 //!   `advance_to` / log shipping / primary crash-restore / replica
@@ -15,7 +15,7 @@
 //!   **bit-identical** to the primary's — the same invariant the
 //!   crash-recovery sweep proves for a single engine.
 
-use pdr_core::{replay, EngineSpec, FrConfig, PdrQuery, Wal, WalCodec, WalRecord};
+use pdr_core::{replay, EngineSpec, FrConfig, PdrQuery, Wal, WalRecord};
 use pdr_geometry::Point;
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 use std::collections::BTreeMap;
@@ -68,11 +68,31 @@ fn random_batch(
 }
 
 // ---------------------------------------------------------------------
-// Codec differential
+// Codec round trip
 // ---------------------------------------------------------------------
 
+/// Bytes one update takes as a fixed-width row: id, t_now, kind, four
+/// f64 motion fields and t_ref.
+const ROW_BYTES_PER_UPDATE: usize = 8 + 8 + 1 + 4 * 8 + 8;
+
+/// The size of `records` framed as fixed-width rows: per record an
+/// 8-byte frame header and a tag, then a u64 timestamp or a u32 count
+/// and one row per update.
+fn row_log_bytes(records: &[WalRecord]) -> usize {
+    records
+        .iter()
+        .map(|r| {
+            8 + 1
+                + match r {
+                    WalRecord::Advance(_) => 8,
+                    WalRecord::Batch(b) => 4 + ROW_BYTES_PER_UPDATE * b.len(),
+                }
+        })
+        .sum()
+}
+
 #[test]
-fn codecs_replay_identically_at_every_prefix() {
+fn wal_replays_identically_at_every_prefix() {
     for seed in [0x11u64, 0x2222, 0x333333, 0xDEAD_BEEF] {
         codec_case(seed);
     }
@@ -92,36 +112,30 @@ fn codec_case(seed: u64) {
         }
     }
 
-    let mut logs = Vec::new();
-    for codec in WalCodec::ALL {
-        let mut wal = Wal::with_codec(codec);
-        for r in &records {
-            match r {
-                WalRecord::Advance(t) => wal.append_advance(*t),
-                WalRecord::Batch(b) => wal.append_batch(b),
-            };
-        }
-        let replayed = replay(wal.bytes()).expect("clean log");
-        assert_eq!(replayed.torn_bytes, 0);
-        assert_eq!(
-            replayed.records,
-            records,
-            "{} does not round-trip seed {seed:#x}",
-            codec.label()
-        );
-        // Every record boundary is a valid crash prefix for either
-        // codec — the recovery sweep's invariant, here under fuzz.
-        for k in 0..=records.len() {
-            let cut = pdr_core::record_boundaries(wal.bytes())[k];
-            let prefix = replay(&wal.bytes()[..cut]).expect("prefix of a clean log");
-            assert_eq!(prefix.records, records[..k], "{} prefix {k}", codec.label());
-        }
-        logs.push((codec, wal.bytes().len()));
+    let mut wal = Wal::new();
+    for r in &records {
+        match r {
+            WalRecord::Advance(t) => wal.append_advance(*t),
+            WalRecord::Batch(b) => wal.append_batch(b),
+        };
     }
-    let (c1, c2) = (logs[0].1, logs[1].1);
+    let replayed = replay(wal.bytes()).expect("clean log");
+    assert_eq!(replayed.torn_bytes, 0);
+    assert_eq!(
+        replayed.records, records,
+        "log does not round-trip seed {seed:#x}"
+    );
+    // Every record boundary is a valid crash prefix — the recovery
+    // sweep's invariant, here under fuzz.
+    for k in 0..=records.len() {
+        let cut = pdr_core::record_boundaries(wal.bytes())[k];
+        let prefix = replay(&wal.bytes()[..cut]).expect("prefix of a clean log");
+        assert_eq!(prefix.records, records[..k], "prefix {k}");
+    }
+    let (rows, columnar) = (row_log_bytes(&records), wal.bytes().len());
     assert!(
-        c2 < c1,
-        "columnar log ({c2} B) must be smaller than row log ({c1} B), seed {seed:#x}"
+        columnar < rows,
+        "columnar log ({columnar} B) must be smaller than row log ({rows} B), seed {seed:#x}"
     );
 }
 

@@ -24,9 +24,9 @@ use crate::simulator::TrafficSimulator;
 use crate::QuerySpec;
 use pdr_core::obs::{json_f64, Histogram, HistogramSnapshot, ObsReport};
 use pdr_core::{
-    accuracy, exact_dense_regions, replay, AnswerDelta, DensityEngine, EngineAnswer, EngineStats,
-    Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId, SubscriptionTable,
-    Wal, WalCodec, WalRecord,
+    accuracy, exact_dense_regions, restore_and_replay, AnswerDelta, DensityEngine, EngineAnswer,
+    EngineStats, Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId,
+    SubscriptionTable, Wal,
 };
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
@@ -640,15 +640,12 @@ impl ServeDriver {
     /// `every` ticks. Checkpoint-capable engines become recoverable:
     /// when a query hits detected corruption, the driver restores the
     /// latest checkpoint, replays the WAL tail and retries. Engines
-    /// without checkpoint support keep degrading instead.
-    ///
-    /// New journals use the columnar codec2 record format; recovery
-    /// replays either codec, so logs written by older drivers remain
-    /// readable.
+    /// without checkpoint support keep degrading instead. The journal
+    /// writes the WAL's one (columnar codec2) record format.
     pub fn enable_journal(&mut self, every: u64) {
         assert!(every > 0, "checkpoint cadence must be positive");
         self.journal = Some(Journal {
-            wal: Wal::with_codec(WalCodec::V2),
+            wal: Wal::new(),
             every,
             ticks_since_checkpoint: 0,
         });
@@ -1252,20 +1249,13 @@ pub(crate) fn backoff(policy: &FaultPolicy, attempt: u32, rng: &mut SeededRng) {
 /// when the engine has no checkpoint or the checkpoint fails to
 /// verify; the recovery counter and time histogram record successes.
 fn recover_engine(s: &mut Served, wal: &Wal) -> bool {
-    let Some((offset, bytes)) = s.checkpoint.clone() else {
+    let Some((offset, bytes)) = s.checkpoint.as_ref() else {
         return false;
     };
     let rec_start = Instant::now();
     s.load.faults += s.engine.fault_stats();
-    if s.engine.restore_from(&bytes).is_err() {
+    if restore_and_replay(s.engine.as_mut(), bytes, &wal.bytes()[*offset..]).is_err() {
         return false;
-    }
-    let tail = replay(&wal.bytes()[offset..]).expect("in-memory WAL cannot tear");
-    for r in &tail.records {
-        match r {
-            WalRecord::Advance(t) => s.engine.advance_to(*t),
-            WalRecord::Batch(b) => s.engine.apply_batch(b),
-        }
     }
     s.load.recoveries += 1;
     s.recovery.record(rec_start.elapsed());
