@@ -1106,18 +1106,11 @@ impl EngineSpec {
         let halo = l_max / 2.0 + 2.0 * inner.structure_pitch();
         let part = crate::Partition::grid(inner.domain_bounds(), *sx, *sy, halo);
         let per_shard = inner.per_shard_spec(shards);
-        let threads = match **inner {
-            EngineSpec::Fr(cfg) | EngineSpec::FrGrid { fr: cfg, .. } | EngineSpec::Dh(cfg, _) => {
-                cfg.threads
-            }
-            _ => 0,
-        };
         let mut plane = crate::ShardedEngine::new(
             self.name(),
             part,
             inner.routing_horizon(),
             t_start,
-            threads,
             *l_max,
             move |_| per_shard.build(t_start),
         );

@@ -537,7 +537,7 @@ mod tests {
 
     fn plane(sx: u32, sy: u32) -> ShardedEngine {
         let part = Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 30.0);
-        ShardedEngine::new("fr", part, TimeHorizon::new(4, 2), 0, 1, 14.0, |_| {
+        ShardedEngine::new("fr", part, TimeHorizon::new(4, 2), 0, 14.0, |_| {
             Box::new(FrEngine::new(fr_cfg(), 0))
         })
     }

@@ -33,7 +33,10 @@
 //!     own checkpoint and replays its own WAL segment; a shard that
 //!     stays broken is stickily degraded and serves its sub-domain with
 //!     the inner engine's filter-only answer while every other shard
-//!     keeps serving exactly.
+//!     keeps serving exactly;
+//!   - a split or merge builds every new leaf one way — re-inserting
+//!     the router's live reports whose bbox meets the leaf's ingest
+//!     region — and seats it through one cutover.
 //!
 //! # Exactness invariant
 //!
@@ -63,7 +66,8 @@ use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::{screen_batch, MotionState, ObjectId, TimeHorizon, Timestamp, Update};
 use pdr_storage::{crc32, ByteReader, ByteWriter, FaultPlan, FaultStats, IoStats, StorageError};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -454,11 +458,6 @@ pub enum TopologyError {
     NoCandidate,
     /// Splitting the leaf would exceed `max_depth` or `max_shards`.
     Limits,
-    /// The handoff was aborted mid-replay (crash injection) — the plane
-    /// is untouched.
-    Aborted,
-    /// Cloning the source shard's state into the children failed.
-    Recover(RecoverError),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -467,8 +466,6 @@ impl std::fmt::Display for TopologyError {
             TopologyError::Fenced => write!(f, "plane is fenced; topology changes refused"),
             TopologyError::NoCandidate => write!(f, "no shard qualifies for the action"),
             TopologyError::Limits => write!(f, "split would exceed max_depth or max_shards"),
-            TopologyError::Aborted => write!(f, "migration handoff aborted before cutover"),
-            TopologyError::Recover(e) => write!(f, "migration handoff failed: {e}"),
         }
     }
 }
@@ -485,7 +482,8 @@ pub struct RebalanceReport {
     pub retired: Vec<u32>,
     /// Stable ids of the shards created by the cutover.
     pub created: Vec<u32>,
-    /// WAL records replayed during the handoff.
+    /// Live reports re-inserted into the new leaves from the router
+    /// table (the field keeps its wire name).
     pub records_replayed: u64,
     /// Leaf count after the cutover.
     pub leaves: usize,
@@ -496,7 +494,9 @@ pub struct RebalanceReport {
 /// Everything one shard owns: its engine, its WAL segment, and its
 /// recovery point — the latest stored checkpoint and the segment offset
 /// its tail replays from. The checkpoint is shared, not copied, with
-/// the plane checkpoints and bootstrap shipments composed from it.
+/// the plane checkpoints and bootstrap shipments composed from it, and
+/// it stays valid for as long as the tail is empty. A leaf seated by a
+/// topology change starts without one; the cutover records it.
 struct ShardState {
     engine: Box<dyn DensityEngine>,
     wal: Wal,
@@ -619,7 +619,6 @@ pub struct ShardedEngine {
     name: &'static str,
     horizon: TimeHorizon,
     t_base: Timestamp,
-    threads: usize,
     /// The largest neighborhood edge the halo was sized for. Queries
     /// and subscriptions with `l > l_max` are refused — the halo cannot
     /// cover them and density would silently be lost at cut lines.
@@ -656,8 +655,9 @@ pub struct ShardedEngine {
     /// The router's view of the live object set: id → the motion bits
     /// the shards were handed (inserts keep the newest `t_ref`; deletes
     /// remove only an exact bit-match, which makes per-shard WAL replay
-    /// order-insensitive). This is what shard merges rebuild from and
-    /// what the owned-load accounting below counts.
+    /// order-insensitive). This is what every new leaf of a split or
+    /// merge is seeded from and what the owned-load accounting below
+    /// counts.
     router_table: HashMap<u64, MotionState>,
     /// Per-leaf count of *owned* live objects (the leaf whose owned
     /// rectangle contains the object's reported position). Unlike the
@@ -689,7 +689,6 @@ impl ShardedEngine {
         part: Partition,
         horizon: TimeHorizon,
         t_start: Timestamp,
-        threads: usize,
         l_max: f64,
         mut build: impl FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync + 'static,
     ) -> Self {
@@ -707,7 +706,6 @@ impl ShardedEngine {
             name,
             horizon,
             t_base: t_start,
-            threads,
             l_max,
             plane: Arc::new(ShardPlane {
                 part,
@@ -812,10 +810,12 @@ impl ShardedEngine {
         self.plane.read_shard(shard).engine.set_fault_plan(plan);
     }
 
-    /// Checkpoints every shard and stores the checkpoint with its
-    /// segment's current offset as the shard's recovery point — what
-    /// shard-local recovery, split handoffs and bootstrap shipments
-    /// start from, so their replay is bounded by the latest checkpoint.
+    /// Stores every shard's checkpoint with its segment's current
+    /// offset as the shard's recovery point — what shard-local recovery
+    /// and bootstrap shipments start from, so their replay is bounded by
+    /// the latest checkpoint. A shard whose segment has not moved since
+    /// its stored checkpoint keeps it (an empty tail means the state
+    /// still equals the checkpoint); every other shard is re-encoded.
     /// Both halves of the pair are taken under the shard's lock.
     /// Returns the checkpoints in shard order, or `None` when the inner
     /// engines cannot checkpoint.
@@ -823,30 +823,33 @@ impl ShardedEngine {
         (0..self.plane.shards.len())
             .map(|i| {
                 let mut s = self.plane.write_shard(i);
-                let cp = Arc::new(s.engine.checkpoint()?);
+                let offset = s.wal.offset();
+                let cp = match &s.checkpoint {
+                    Some(cp) if s.checkpoint_offset == offset => Arc::clone(cp),
+                    _ => Arc::new(s.engine.checkpoint()?),
+                };
                 s.checkpoint = Some(Arc::clone(&cp));
-                s.checkpoint_offset = s.wal.offset();
+                s.checkpoint_offset = offset;
                 Some(cp)
             })
             .collect()
     }
 
     /// Runs `f(i)` for every shard as one task group on the shared
-    /// [`Executor`] (`threads == 1` keeps the serial inline loop);
-    /// results come back in shard order and a child panic is re-raised
-    /// with its original payload (so the serve loop's
-    /// fault-caused-panic detection keeps working). The closure
-    /// captures the plane through `Arc` clones, so inner FR refinement
-    /// scopes opened by a shard task nest on the same pool instead of
-    /// spawning — which is what lets the per-shard engines keep their
-    /// own refinement parallelism.
+    /// [`Executor`] (a single leaf runs inline); results come back in
+    /// shard order and a child panic is re-raised with its original
+    /// payload (so the serve loop's fault-caused-panic detection keeps
+    /// working). The closure captures the plane through `Arc` clones,
+    /// so inner FR refinement scopes opened by a shard task nest on the
+    /// same pool instead of spawning — which is what lets the per-shard
+    /// engines keep their own refinement parallelism.
     fn fan_out<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(usize) -> R + Send + Sync + 'static,
     {
         let n = self.plane.shards.len();
-        if self.threads == 1 || n <= 1 {
+        if n <= 1 {
             return (0..n).map(f).collect();
         }
         Executor::global().scope(n, f)
@@ -1106,7 +1109,7 @@ impl ShardedEngine {
     }
 
     // -----------------------------------------------------------------
-    // Adaptive topology: splits, merges, live migration
+    // Adaptive topology: splits and merges, seeded from the router
     // -----------------------------------------------------------------
 
     /// The current partition (topology) epoch.
@@ -1152,38 +1155,16 @@ impl ShardedEngine {
         }
     }
 
-    /// Splits leaf `idx` into four children by live migration: the
-    /// source shard's sealed checkpoint and WAL-segment tail are
-    /// "shipped" to each child, replayed (each child restores the exact
-    /// byte state the source would recover to), pruned down to the
-    /// child's own ingest region (so the routing invariant — an object
-    /// lives only in shards its bbox intersects — survives the
-    /// migration), and only then is routing flipped — atomically,
-    /// under `&mut self`, with the partition and WAL epochs bumped so
-    /// replicas re-bootstrap instead of misapplying offsets. No update
-    /// is lost: everything the source ingested is in its checkpoint or
-    /// tail, and everything after the flip routes to the children.
+    /// Splits leaf `idx` into four quadrant children. Each child is
+    /// seeded from the router's live table (`seed_leaf`) over its own
+    /// post-split ingest region, so it holds exactly the objects
+    /// routing will deliver to it from now on; then one `cut_over`
+    /// flips routing under `&mut self`, with the partition and WAL
+    /// epochs bumped so replicas re-bootstrap instead of misapplying
+    /// offsets. The children's state comes from the router, not from
+    /// the retired shard's device, so they start healthy even when the
+    /// source was degraded.
     pub fn split_shard(&mut self, idx: usize) -> Result<RebalanceReport, TopologyError> {
-        self.split_shard_inner(idx, None)
-    }
-
-    /// [`split_shard`](Self::split_shard) with crash injection: abort
-    /// the handoff after replaying `abort_after` tail records, before
-    /// the cutover. The plane is untouched — exactly what a crash at
-    /// that WAL-record boundary would leave behind.
-    pub fn split_shard_aborting(
-        &mut self,
-        idx: usize,
-        abort_after: usize,
-    ) -> Result<RebalanceReport, TopologyError> {
-        self.split_shard_inner(idx, Some(abort_after))
-    }
-
-    fn split_shard_inner(
-        &mut self,
-        idx: usize,
-        abort_after: Option<usize>,
-    ) -> Result<RebalanceReport, TopologyError> {
         if self.is_fenced() {
             return Err(TopologyError::Fenced);
         }
@@ -1196,161 +1177,34 @@ impl ShardedEngine {
         {
             return Err(TopologyError::Limits);
         }
-        // Seal: under `&mut self` no writer can interleave; snapshot
-        // the source's checkpoint and segment tail (the handoff bytes).
-        let (source_id, checkpoint, tail) = {
-            let s = self.plane.read_shard(idx);
-            (
-                self.plane.part.leaves()[idx].id,
-                s.checkpoint.clone(),
-                s.wal.bytes()[s.checkpoint_offset..].to_vec(),
-            )
-        };
-        // Each child's ingest region under the post-split geometry,
-        // taken from a cloned partition with the split applied — the
-        // prune filter below must agree *bitwise* with how the real
-        // partition will route once the cutover lands, so the geometry
-        // is never re-derived by hand.
-        let post = {
-            let mut p = self.plane.part.clone();
-            p.split(idx);
-            p
-        };
-        let child_ingest = [
-            post.ingest_region(idx),
-            post.ingest_region(idx + 1),
-            post.ingest_region(idx + 2),
-            post.ingest_region(idx + 3),
-        ];
-        let source_ingest = self.plane.part.ingest_region(idx);
-        let h = self.horizon.h();
-        let mut prune_ids: Vec<u64> = self.router_table.keys().copied().collect();
-        prune_ids.sort_unstable();
-        // Replay the handoff into four fresh children. Any failure (or
-        // an injected crash) before the flip leaves the plane untouched.
-        let mut children: Vec<Box<dyn DensityEngine>> = Vec::with_capacity(4);
-        let mut records_replayed = 0u64;
-        for ingest in &child_ingest {
-            let mut e = (self.builder)(idx);
-            if let Some(cp) = checkpoint.as_deref() {
-                e.restore_from(cp).map_err(TopologyError::Recover)?;
-            }
-            let rep = crate::wal::replay(&tail)
-                .map_err(|e| TopologyError::Recover(RecoverError::Codec(e)))?;
-            let mut replayed = 0usize;
-            for rec in rep.records {
-                if abort_after == Some(replayed) {
-                    return Err(TopologyError::Aborted);
-                }
-                match rec {
-                    WalRecord::Advance(t) => e.advance_to(t),
-                    WalRecord::Batch(batch) => e.apply_batch(&batch),
-                }
-                replayed += 1;
-            }
-            if let Some(k) = abort_after {
-                // A boundary at the very end of the tail: the handoff
-                // replayed everything but crashed before the flip.
-                if k == replayed {
-                    return Err(TopologyError::Aborted);
-                }
-            }
-            records_replayed += replayed as u64;
-            // Complete the migration: prune from the child every object
-            // whose routing bbox misses its post-split ingest region.
-            // Routing only ever delivers an object to shards its bbox
-            // intersects; the full-state clone would otherwise leave
-            // stale copies behind that invariant — a later re-report
-            // pair would route its delete elsewhere while the insert
-            // collides with the stale copy here.
-            let prune: Vec<Update> = prune_ids
-                .iter()
-                .filter_map(|&id| {
-                    let m = self.router_table[&id];
-                    let bbox =
-                        Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h));
-                    (bbox.intersects(&source_ingest) && !bbox.intersects(ingest)).then_some(
-                        Update {
-                            id: ObjectId(id),
-                            t_now: self.t_base,
-                            kind: pdr_mobject::UpdateKind::Delete { old_motion: m },
-                        },
-                    )
-                })
-                .collect();
-            if !prune.is_empty() {
-                e.apply_batch(&prune);
-            }
-            children.push(e);
+        let retired = vec![self.plane.part.leaves()[idx].id];
+        let mut post = self.plane.part.clone();
+        let created = post.split(idx);
+        let ids = self.sorted_router_ids();
+        let mut seated = Vec::with_capacity(4);
+        let mut records_replayed = 0;
+        for slot in idx..idx + 4 {
+            let (engine, seeded) = self.seed_leaf(&ids, post.ingest_region(slot), slot);
+            seated.push(engine);
+            records_replayed += seeded;
         }
-        // Cutover: flip routing atomically. The source shard (engine,
-        // WAL, checkpoint) retires with the old plane.
-        let ShardPlane {
-            mut part,
-            shards,
-            degraded,
-        } = self.take_plane();
-        let child_ids = part.split(idx);
-        let n = part.shards();
-        let source_degraded = degraded[idx].load(Ordering::Acquire);
-        let mut new_shards: Vec<RwLock<ShardState>> = Vec::with_capacity(n);
-        let mut new_degraded: Vec<AtomicBool> = Vec::with_capacity(n);
-        let mut old_shards = shards.into_iter();
-        let mut old_degraded = degraded.into_iter();
-        for slot in 0..self.wrapping_old_count(n) {
-            let state = old_shards.next().expect("old plane exhausted early");
-            let was_degraded = old_degraded
-                .next()
-                .expect("old plane exhausted early")
-                .into_inner();
-            if slot == idx {
-                // Retire the source; seat the four children in place.
-                // Their recovery points are recorded at the cutover.
-                drop(state);
-                for (k, e) in children.drain(..).enumerate() {
-                    new_shards.push(RwLock::new(ShardState::new(e, child_ids[k], n, None)));
-                    new_degraded.push(AtomicBool::new(source_degraded));
-                }
-            } else {
-                new_shards.push(state);
-                new_degraded.push(AtomicBool::new(was_degraded));
-            }
-        }
-        self.plane = Arc::new(ShardPlane {
-            part,
-            shards: new_shards,
-            degraded: new_degraded,
-        });
-        self.finish_topology_change();
+        self.cut_over(post, idx..=idx, seated);
         self.splits += 1;
         Ok(RebalanceReport {
             action: "split",
-            retired: vec![source_id],
-            created: child_ids.to_vec(),
+            retired,
+            created: created.to_vec(),
             records_replayed,
             leaves: self.plane.part.shards(),
             part_epoch: self.plane.part.epoch(),
         })
     }
 
-    /// Old-plane slot count during a split: children replace one slot,
-    /// so the loop walks the *old* indices.
-    fn wrapping_old_count(&self, new_count: usize) -> usize {
-        new_count - 3
-    }
-
-    /// Merges a complete sibling group back into its parent tile. The
-    /// parent engine is rebuilt from the router's live-object table:
-    /// every live object whose routing bbox intersects the parent's
-    /// ingest region is re-applied as an insertion carrying its
-    /// original motion bits **at its original report time** — the seed
-    /// is grouped by `t_ref` and replayed in time order, advancing the
-    /// fresh engine between groups. This reproduces bit-for-bit the
-    /// histogram state a long-running engine holds for those motions at
-    /// `t_base` (an insert deposits over `[t_now, t_now+H]`, so
-    /// re-inserting "now" would smear density onto slots past
-    /// `t_ref + H` that the retired children never touched) — without
-    /// inheriting any stale ghost state the children may hold.
+    /// Merges a complete sibling group back into its parent tile: one
+    /// parent seeded from the router's live table (`seed_leaf`) over
+    /// the parent's ingest region, seated by one `cut_over`. Nothing is
+    /// inherited from the children — neither stale ghost state nor a
+    /// degraded flag.
     pub fn merge_shards(&mut self, group: [usize; 4]) -> Result<RebalanceReport, TopologyError> {
         if self.is_fenced() {
             return Err(TopologyError::Fenced);
@@ -1358,20 +1212,57 @@ impl ShardedEngine {
         if !self.plane.part.sibling_groups().contains(&group) {
             return Err(TopologyError::NoCandidate);
         }
-        // The parent's ingest region, taken from a cloned partition
-        // with the merge applied — the seed filter must agree bitwise
-        // with how the post-cutover partition routes.
-        let ingest = {
-            let mut p = self.plane.part.clone();
-            p.merge(group);
-            p.ingest_region(group[0])
-        };
-        let h = self.horizon.h();
+        let retired: Vec<u32> = group
+            .iter()
+            .map(|&i| self.plane.part.leaves()[i].id)
+            .collect();
+        let mut post = self.plane.part.clone();
+        let parent_id = post.merge(group);
+        let ids = self.sorted_router_ids();
+        let (parent, records_replayed) =
+            self.seed_leaf(&ids, post.ingest_region(group[0]), group[0]);
+        self.cut_over(post, group[0]..=group[3], vec![parent]);
+        self.merges += 1;
+        Ok(RebalanceReport {
+            action: "merge",
+            retired,
+            created: vec![parent_id],
+            records_replayed,
+            leaves: self.plane.part.shards(),
+            part_epoch: self.plane.part.epoch(),
+        })
+    }
+
+    /// The router's live object ids in ascending order — the one seed
+    /// order every new leaf of a topology change is built in.
+    fn sorted_router_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.router_table.keys().copied().collect();
         ids.sort_unstable();
-        let mut seed: std::collections::BTreeMap<Timestamp, Vec<Update>> =
-            std::collections::BTreeMap::new();
-        for id in ids {
+        ids
+    }
+
+    /// Builds a fresh engine for post-change slot `slot` from the
+    /// router's live table: every live object (taken in `ids` order)
+    /// whose `t_ref → t_ref + H` routing bbox meets `ingest` — the
+    /// region cut from the post-change partition itself, so the seed
+    /// agrees bitwise with how routing will deliver from now on — is
+    /// re-inserted with its original motion bits **at its original
+    /// report time**. The seed is grouped by `t_ref` and applied in time
+    /// order with an `advance_to` between groups, then advanced to
+    /// `t_base`. This reproduces bit for bit the state a long-running
+    /// engine holds for those motions (an insert deposits over
+    /// `[t_now, t_now+H]`, so re-inserting "now" would smear density
+    /// onto slots past `t_ref + H`). Returns the engine and the number
+    /// of reports re-inserted.
+    fn seed_leaf(
+        &mut self,
+        ids: &[u64],
+        ingest: Rect,
+        slot: usize,
+    ) -> (Box<dyn DensityEngine>, u64) {
+        let h = self.horizon.h();
+        let mut seed: BTreeMap<Timestamp, Vec<Update>> = BTreeMap::new();
+        for &id in ids {
             let m = self.router_table[&id];
             let bbox = Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h));
             if bbox.intersects(&ingest) {
@@ -1386,61 +1277,52 @@ impl ShardedEngine {
                 });
             }
         }
-        let mut parent = Some((self.builder)(group[0]));
-        if let Some(e) = parent.as_mut() {
-            for (t, batch) in &seed {
-                e.advance_to(*t);
-                e.apply_batch(batch);
-            }
-            e.advance_to(self.t_base);
+        let mut engine = (self.builder)(slot);
+        let mut seeded = 0;
+        for (t, batch) in &seed {
+            engine.advance_to(*t);
+            engine.apply_batch(batch);
+            seeded += batch.len() as u64;
         }
-        let retired: Vec<u32> = group
-            .iter()
-            .map(|&i| self.plane.part.leaves()[i].id)
-            .collect();
-        // Cutover.
-        let ShardPlane {
-            mut part,
-            shards,
-            degraded,
-        } = self.take_plane();
-        let parent_id = part.merge(group);
-        let n = part.shards();
-        let mut new_shards: Vec<RwLock<ShardState>> = Vec::with_capacity(n);
-        let mut new_degraded: Vec<AtomicBool> = Vec::with_capacity(n);
-        for (slot, (state, was_degraded)) in shards.into_iter().zip(degraded).enumerate() {
-            if group.contains(&slot) {
-                // Retire the child; seat the parent at the first slot.
-                drop(state);
-                if slot == group[0] {
-                    let engine = parent.take().expect("parent seated once");
-                    new_shards.push(RwLock::new(ShardState::new(engine, parent_id, n, None)));
-                    // The parent is rebuilt from the router table, not
-                    // the children — a degraded child's lost state is
-                    // re-derived, so the merged shard starts healthy.
-                    new_degraded.push(AtomicBool::new(false));
+        engine.advance_to(self.t_base);
+        (engine, seeded)
+    }
+
+    /// The one cutover: installs `post` as the partition, retires the
+    /// old slots `retired` and seats `seated` in their place (at
+    /// post-change slots from `retired.start()` on), each healthy on a
+    /// fresh segment. Every other leaf keeps its state and degraded
+    /// flag, in order. Then runs the shared post-cutover bookkeeping.
+    fn cut_over(
+        &mut self,
+        post: Partition,
+        retired: RangeInclusive<usize>,
+        mut seated: Vec<Box<dyn DensityEngine>>,
+    ) {
+        let old = self.take_plane();
+        let n = post.shards();
+        let first = *retired.start();
+        let mut shards = Vec::with_capacity(n);
+        let mut degraded = Vec::with_capacity(n);
+        for (slot, (state, flag)) in old.shards.into_iter().zip(old.degraded).enumerate() {
+            if slot == first {
+                for (k, engine) in seated.drain(..).enumerate() {
+                    let id = post.leaves()[first + k].id;
+                    shards.push(RwLock::new(ShardState::new(engine, id, n, None)));
+                    degraded.push(AtomicBool::new(false));
                 }
-            } else {
-                let d = was_degraded.into_inner();
-                new_shards.push(state);
-                new_degraded.push(AtomicBool::new(d));
+            }
+            if !retired.contains(&slot) {
+                shards.push(state);
+                degraded.push(flag);
             }
         }
         self.plane = Arc::new(ShardPlane {
-            part,
-            shards: new_shards,
-            degraded: new_degraded,
+            part: post,
+            shards,
+            degraded,
         });
         self.finish_topology_change();
-        self.merges += 1;
-        Ok(RebalanceReport {
-            action: "merge",
-            retired,
-            created: vec![parent_id],
-            records_replayed: seed.values().map(|b| b.len() as u64).sum(),
-            leaves: self.plane.part.shards(),
-            part_epoch: self.plane.part.epoch(),
-        })
     }
 
     /// Shared post-cutover bookkeeping: recount owned load for the new
@@ -1643,7 +1525,11 @@ impl DensityEngine for ShardedEngine {
         let plane = Arc::clone(&self.plane);
         let per_shard = Arc::new(per_shard);
         self.fan_out(move |i| {
-            plane.write_shard(i).engine.bulk_load(&per_shard[i], t_now);
+            let mut s = plane.write_shard(i);
+            s.engine.bulk_load(&per_shard[i], t_now);
+            // The load is not logged: the stored checkpoint is stale
+            // even though the segment has not moved.
+            s.checkpoint = None;
         });
         self.record_recovery_points();
     }
@@ -2254,7 +2140,6 @@ mod tests {
             Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), sx, sy, 15.0),
             pdr_mobject::TimeHorizon::new(4, 4),
             0,
-            1,
             10.0,
             |_| Box::new(crate::FrEngine::new(fr_cfg(), 0)),
         )
@@ -2333,9 +2218,46 @@ mod tests {
         assert_eq!(plane.owned_objects(), &[0, 1, 0, 0]);
     }
 
-    /// Split (live migration to four children) and merge (rebuild from
-    /// the router table) must both preserve answers bit-for-bit against
-    /// the unsharded engine.
+    /// A plane checkpoint reuses every stored recovery point whose
+    /// segment has not moved since it was taken, and re-encodes only
+    /// the shards that ingested since.
+    #[test]
+    fn checkpoint_reuses_recovery_points_with_empty_tails() {
+        let mut plane = fr_plane(2, 2);
+        plane.bulk_load(&hotspot_population(), 0);
+        let stored = |p: &ShardedEngine| -> Vec<Arc<Vec<u8>>> {
+            (0..4)
+                .map(|i| {
+                    let s = p.plane.read_shard(i);
+                    Arc::clone(s.checkpoint.as_ref().expect("recovery point"))
+                })
+                .collect()
+        };
+        let loaded = stored(&plane);
+        let first = plane.checkpoint().expect("composed checkpoint");
+        let reused = stored(&plane);
+        for (a, b) in loaded.iter().zip(&reused) {
+            assert!(Arc::ptr_eq(a, b), "bulk-load checkpoint re-encoded");
+        }
+        // Deep inside shard 0's tile: routed to shard 0 alone.
+        plane.apply_batch(&[Update::insert(
+            ObjectId(1_000),
+            0,
+            MotionState::new(Point::new(5.0, 5.0), Point::new(0.0, 0.0), 0),
+        )]);
+        let second = plane.checkpoint().expect("composed checkpoint");
+        let after = stored(&plane);
+        assert!(!Arc::ptr_eq(&reused[0], &after[0]), "shard 0 ingested");
+        for i in 1..4 {
+            assert!(Arc::ptr_eq(&reused[i], &after[i]), "shard {i} re-encoded");
+        }
+        assert_ne!(first, second);
+        assert_eq!(plane.checkpoint().expect("composed checkpoint"), second);
+    }
+
+    /// Split and merge (both seeding their new leaves from the router
+    /// table) must preserve answers bit-for-bit against the unsharded
+    /// engine.
     #[test]
     fn split_then_merge_keeps_answers_bit_identical() {
         let pop = hotspot_population();
@@ -2372,7 +2294,7 @@ mod tests {
         assert_eq!(r2.leaves, 7);
         check(&plane, &reference, 0);
 
-        // Keep churning after the migrations.
+        // Keep churning after the topology changes.
         plane.advance_to(1);
         reference.advance_to(1);
         let old = pop[3].1;

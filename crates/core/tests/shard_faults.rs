@@ -44,7 +44,7 @@ fn plane() -> ShardedEngine {
         2,
         L / 2.0 + 2.0 * pitch,
     );
-    ShardedEngine::new("sharded-fr", part, cfg.horizon, 0, 1, L, move |_| {
+    ShardedEngine::new("sharded-fr", part, cfg.horizon, 0, L, move |_| {
         EngineSpec::Fr(cfg).build(0)
     })
 }
@@ -140,4 +140,36 @@ fn transient_fault_propagates_without_degrading() {
     for i in 0..4 {
         assert!(!plane.shard_degraded(i), "shard {i} wrongly degraded");
     }
+}
+
+/// A split seeds its children from the router's live table, not from
+/// the source shard's device: splitting a stickily degraded leaf seats
+/// four healthy children that answer exactly again.
+#[test]
+fn splitting_a_degraded_leaf_seats_healthy_exact_children() {
+    let mut plane = plane();
+    plane.bulk_load(&population(2000), 0);
+    let q = PdrQuery::new(0.05, L, 2);
+    let healthy = plane.try_query(&q).expect("healthy plane answers");
+    assert!(healthy.exact);
+
+    plane.set_fault_plan(FaultPlan::new(42).with_permanent_read_fault(1));
+    let degraded = plane.try_query(&q).expect("degraded serving");
+    assert!(!degraded.exact);
+    assert!(plane.shard_degraded(0), "shard 0 must be stickily degraded");
+
+    let rep = plane.split_shard(0).expect("split the degraded leaf");
+    assert_eq!(rep.leaves, 7);
+    for i in 0..plane.map().shards() {
+        assert!(
+            !plane.shard_degraded(i),
+            "leaf {i} degraded after the split"
+        );
+    }
+    let after = plane.try_query(&q).expect("split plane answers");
+    assert!(
+        after.exact,
+        "children seeded from the router answer exactly"
+    );
+    assert_eq!(after.regions.rects(), healthy.regions.rects());
 }

@@ -42,7 +42,7 @@
 //! | `ship_log`    | `epoch`, `offsets`[, `repl_epoch`, `engine`] | `epoch`, `repl_epoch`, `part_epoch`, `t_base`, `checkpoint` (base64 or null), `segments` |
 //! | `sync`        | [`engine`]                                   | `bootstrapped`, `records`, `updates`, `lag`, `applied_t`, `attempts` |
 //! | `promote`     | [`engine`]                                   | `promoted`, `repl_epoch`, `applied_t`     |
-//! | `rebalance`   | [`action` (`"split"`/`"merge"`), `engine`]   | `action`, `retired`, `created`, `records_replayed`, `leaves`, `part_epoch` |
+//! | `rebalance`   | [`action` (`"split"`/`"merge"`), `engine`]   | `action`, `retired`, `created`, `records_replayed` (live reports re-inserted into the new leaves), `leaves`, `part_epoch` |
 //! | `metrics`     | —                                            | `metrics` object (counters, clients, exec[, replica])|
 //! | `shutdown`    | —                                            | `draining: true`; server drains and exits |
 //!
@@ -64,7 +64,7 @@
 //! region of interest defaulting to the monitored bounds) and answers
 //! with its id. The initial answer arrives as the subscription's first
 //! delta — everything `added` — so a client reconstructs the standing
-//! answer *purely* by replaying deltas. Each `tick` drains the
+//! answer *purely* by replaying deltas. Each `tick` takes the
 //! engines' incremental maintenance output and routes every delta to
 //! the connection owning its subscription, bounded by [`SUB_BUF_CAP`]
 //! per connection: on overflow the buffer is dropped and the next
@@ -933,7 +933,7 @@ struct ConnDeltas {
     lost: bool,
 }
 
-/// Pushes drained driver deltas into the owning connections' buffers;
+/// Pushes the driver's labelled deltas into the owning connections' buffers;
 /// returns how many were routed (unrouted deltas — e.g. for
 /// driver-internal subscription mixes — are dropped).
 fn route_deltas(shared: &NetShared, pending: Vec<(String, AnswerDelta)>) -> usize {
@@ -977,11 +977,10 @@ impl NetServer {
     /// bootstrapped driver.
     pub fn bind(
         addr: &str,
-        mut driver: ServeDriver,
+        driver: ServeDriver,
         policy: FaultPolicy,
         cfg: NetServerConfig,
     ) -> io::Result<NetServer> {
-        driver.enable_delta_feed();
         Ok(NetServer {
             listener: TcpListener::bind(addr)?,
             driver: Arc::new(RwLock::new(driver)),
@@ -1230,8 +1229,8 @@ fn dispatch_op(
             }
             let (updates, t_now, pending) = {
                 let mut d = driver.write().unwrap_or_else(|p| p.into_inner());
-                let updates = d.tick();
-                (updates, d.simulator().t_now(), d.drain_pending_deltas())
+                let (updates, pending) = d.tick();
+                (updates, d.simulator().t_now(), pending)
             };
             let routed = route_deltas(shared, pending);
             (
@@ -1307,7 +1306,7 @@ fn serve_subscribe(
         Err(e) => return e,
     };
     match d.subscribe_on(&label, rho, l, region, QtPolicy::NowPlus(q_t)) {
-        Ok(sid) => {
+        Ok((sid, initial)) => {
             {
                 let mut router = shared.subs.lock().unwrap_or_else(|p| p.into_inner());
                 router.routes.insert((label.clone(), sid.0), conn);
@@ -1315,7 +1314,7 @@ fn serve_subscribe(
             }
             // Route the initial snapshot (and whatever else maintenance
             // just committed) so the first poll already replays it.
-            let pending = d.drain_pending_deltas();
+            let pending = initial.into_iter().map(|d| (label.clone(), d)).collect();
             drop(d);
             route_deltas(shared, pending);
             format!("{{\"ok\":true,\"sub\":{},\"engine\":{label:?}}}", sid.0)

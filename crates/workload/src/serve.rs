@@ -582,14 +582,6 @@ pub struct ServeDriver {
     /// Subscriptions created so far — cycles the mix specs so every
     /// engine registers the identical sequence.
     sub_seq: u64,
-    /// Deltas emitted since the last [`drain_pending_deltas`]
-    /// (ServeDriver::drain_pending_deltas) call, labelled with the
-    /// emitting engine — the feed the TCP front-end routes to
-    /// subscriber connections. Only collected once
-    /// [`enable_delta_feed`](ServeDriver::enable_delta_feed) is on, so
-    /// drain-less library runs don't accumulate unboundedly.
-    pending_deltas: Vec<(String, AnswerDelta)>,
-    delta_feed: bool,
 }
 
 /// Mutable per-client accumulators (snapshotted into [`ClientLoad`]).
@@ -617,16 +609,7 @@ impl ServeDriver {
             clients: Vec::new(),
             sub_rng: SeededRng::new(policy.seed ^ 0x5B5C_9A71),
             sub_seq: 0,
-            pending_deltas: Vec::new(),
-            delta_feed: false,
         }
-    }
-
-    /// Turns on the labelled delta feed consumed through
-    /// [`drain_pending_deltas`](ServeDriver::drain_pending_deltas).
-    /// Off by default so drivers nobody drains don't buffer forever.
-    pub fn enable_delta_feed(&mut self) {
-        self.delta_feed = true;
     }
 
     /// Sets the fault-handling policy (builder style).
@@ -785,8 +768,11 @@ impl ServeDriver {
 
     /// Drives one simulator tick through every engine: advances each
     /// horizon to the new timestamp, then applies the tick's updates.
-    /// Returns the number of protocol updates applied.
-    pub fn tick(&mut self) -> usize {
+    /// Returns the number of protocol updates applied and the
+    /// subscription deltas the tick emitted, labelled with the emitting
+    /// engine — what the TCP front-end routes to subscriber
+    /// connections.
+    pub fn tick(&mut self) -> (usize, Vec<(String, AnswerDelta)>) {
         let t_next = self.sim.t_now() + 1;
         if let Some(j) = self.journal.as_mut() {
             j.wal.append_advance(t_next);
@@ -846,11 +832,8 @@ impl ServeDriver {
                 s.load.sub_deltas += deltas.len() as u64;
                 s.replay(&deltas);
             }
-            if self.delta_feed {
-                emitted.extend(deltas.into_iter().map(|d| (s.label.clone(), d)));
-            }
+            emitted.extend(deltas.into_iter().map(|d| (s.label.clone(), d)));
         }
-        self.pending_deltas.append(&mut emitted);
         let checkpoint_due = match self.journal.as_mut() {
             Some(j) => {
                 j.ticks_since_checkpoint += 1;
@@ -866,7 +849,7 @@ impl ServeDriver {
         if checkpoint_due {
             self.checkpoint_engines();
         }
-        updates.len()
+        (updates.len(), emitted)
     }
 
     /// Brute-force ground truth for `q` from the simulator's own table.
@@ -876,11 +859,10 @@ impl ServeDriver {
 
     /// Registers a standing subscription on the engine under `label`
     /// (region defaults to the monitored bounds) and immediately brings
-    /// it up to date: the initial answer is emitted as the
-    /// subscription's first pending delta (everything `added`), so a
-    /// consumer draining [`drain_pending_deltas`]
-    /// (ServeDriver::drain_pending_deltas) reconstructs the answer from
-    /// the delta stream alone.
+    /// it up to date. Returns the id with the initial deltas (the
+    /// answer, everything `added`), so a consumer of those and of
+    /// every later [`tick`](ServeDriver::tick)'s deltas reconstructs
+    /// the answer from the delta stream alone.
     pub fn subscribe_on(
         &mut self,
         label: &str,
@@ -888,21 +870,14 @@ impl ServeDriver {
         l: f64,
         region: Option<Rect>,
         policy: QtPolicy,
-    ) -> Result<SubId, SubscribeError> {
+    ) -> Result<(SubId, Vec<AnswerDelta>), SubscribeError> {
         let bounds = self.bounds();
         let now = self.sim.t_now();
         let Some(s) = self.engines.iter_mut().find(|s| s.label == label) else {
             return Err(SubscribeError::NoSuchEngine(label.to_string()));
         };
-        let (id, deltas) = s
-            .subscribe((rho, l, region.unwrap_or(bounds), policy), now, false)
-            .map_err(SubscribeError::Rejected)?;
-        if self.delta_feed {
-            let label = s.label.clone();
-            self.pending_deltas
-                .extend(deltas.into_iter().map(|d| (label.clone(), d)));
-        }
-        Ok(id)
+        s.subscribe((rho, l, region.unwrap_or(bounds), policy), now, false)
+            .map_err(SubscribeError::Rejected)
     }
 
     /// Unregisters a subscription created by [`subscribe_on`]
@@ -918,14 +893,6 @@ impl ServeDriver {
             s.sub_mirrors.retain(|(i, _)| *i != id);
         }
         removed
-    }
-
-    /// Takes the deltas emitted since the last drain, labelled with the
-    /// emitting engine. The TCP front-end calls this after every tick
-    /// and routes each delta to the connection that owns the
-    /// subscription.
-    pub fn drain_pending_deltas(&mut self) -> Vec<(String, AnswerDelta)> {
-        std::mem::take(&mut self.pending_deltas)
     }
 
     /// The next deterministic subscription spec: `(ρ, l)` cycle the
@@ -1083,7 +1050,7 @@ impl ServeDriver {
         let mut updates = 0u64;
         for tick_no in 0..ticks {
             let ingest_start = Instant::now();
-            updates += self.tick() as u64;
+            updates += self.tick().0 as u64;
             self.tick_ingest.record(ingest_start.elapsed());
             let now = self.sim.t_now();
             if let Some(sm) = mix.subscriptions() {
@@ -1887,7 +1854,7 @@ mod tests {
         // surfaces as a panic mid-mutation — a simulated crash. The WAL
         // record was appended before the mutation ran, so the driver
         // must recover to exactly the state a clean apply would reach.
-        let n = d.tick();
+        let (n, _) = d.tick();
         assert!(n > 0, "the tick itself must still make progress");
         assert!(
             d.engines[0].load.recoveries >= 1,
