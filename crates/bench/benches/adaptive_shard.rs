@@ -10,11 +10,16 @@
 //! Writes `BENCH_adaptive_shard.json` at the workspace root.
 //!
 //! Usage: `cargo bench --bench adaptive_shard [-- <n_objects> <ticks>]`
-//! (defaults: 4000 objects, 10 ticks). NOTE: the adaptive-vs-fixed p95
+//! (defaults: 1500 objects, 8 ticks). Under `cargo bench` the whole
+//! scenario runs five times and the artifact reports each timing's
+//! median and quartiles (one run of it spreads ~2× on a shared host); a
+//! run for the asserts alone (`cargo test --bench adaptive_shard`) runs
+//! it once. NOTE: the adaptive-vs-fixed p95
 //! ratio measures *useful parallelism* — on a single-core host the
 //! fan-out cannot win and the JSON records `available_parallelism` so
 //! the reader can interpret the ratio.
 
+use pdr_bench::Spread;
 use pdr_core::{DensityEngine, EngineSpec, FrConfig, PdrQuery, SplitPolicy};
 use pdr_geometry::RegionSet;
 use pdr_mobject::{TimeHorizon, Update};
@@ -80,14 +85,9 @@ fn p95_query_ms(eng: &dyn DensityEngine, probes: &[PdrQuery], reps: usize) -> f6
     samples[((samples.len() as f64 * 0.95) as usize).min(samples.len() - 1)]
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1500);
-    let ticks: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("adaptive_shard: n = {n}, ticks = {ticks}, cores = {cores}");
-
-    let skew = SkewConfig {
+/// The skewed stream every run replays.
+fn skew(n: usize) -> SkewConfig {
+    SkewConfig {
         objects: n,
         extent: EXTENT,
         hotspots: 2,
@@ -97,10 +97,34 @@ fn main() {
         drift: 0.3,
         update_period: 4,
         seed: 0xC1CADA,
-    };
-    let mut stream = SkewedWorkload::new(skew);
+    }
+}
+
+/// The adaptive policy's split threshold for `n` objects.
+fn split_threshold(n: usize) -> u64 {
+    (n as u64 / 8).max(64)
+}
+
+/// What one run of the scenario measured. The timings vary with the
+/// host; everything else is a function of the seeded stream.
+struct Run {
+    ingest_ms_adaptive: f64,
+    ingest_ms_fixed: f64,
+    p95_adaptive: f64,
+    p95_fixed: f64,
+    /// `(leaves, splits, merges, part_epoch)` of the adaptive plane.
+    partition: (usize, u64, u64, u64),
+    /// Hottest shard's owned objects: adaptive, fixed.
+    max_owned: (u64, u64),
+    bootstraps: u64,
+}
+
+/// Drives the three engines and the replica through one run, asserting
+/// that every answer is bit-identical to the unsharded reference.
+fn run(n: usize, ticks: u64) -> Run {
+    let mut stream = SkewedWorkload::new(skew(n));
     let pop = stream.population();
-    let split_threshold = (n as u64 / 8).max(64);
+    let split_threshold = split_threshold(n);
 
     let mut reference = fr_spec().build(0);
     let mut adaptive = adaptive_spec(split_threshold).build(0);
@@ -200,9 +224,9 @@ fn main() {
 
     let p95_adaptive = p95_query_ms(adaptive.as_ref(), &probes, 3);
     let p95_fixed = p95_query_ms(fixed.as_ref(), &probes, 3);
-    let ratio = p95_fixed / p95_adaptive;
     println!(
-        "p95 query: adaptive {p95_adaptive:.3} ms, fixed {p95_fixed:.3} ms (ratio {ratio:.2}x)"
+        "p95 query: adaptive {p95_adaptive:.3} ms, fixed {p95_fixed:.3} ms (ratio {:.2}x)",
+        p95_fixed / p95_adaptive
     );
 
     // Load balance: the hottest shard bounds per-query latency once the
@@ -213,9 +237,44 @@ fn main() {
             .and_then(|s| s.owned_objects().iter().copied().max())
             .unwrap_or(0)
     };
-    let (bal_adaptive, bal_fixed) = (max_owned(adaptive.as_ref()), max_owned(fixed.as_ref()));
-    println!("hottest shard owns: adaptive {bal_adaptive}, fixed {bal_fixed}");
+    let max_owned = (max_owned(adaptive.as_ref()), max_owned(fixed.as_ref()));
+    println!(
+        "hottest shard owns: adaptive {}, fixed {}",
+        max_owned.0, max_owned.1
+    );
+    Run {
+        ingest_ms_adaptive,
+        ingest_ms_fixed,
+        p95_adaptive,
+        p95_fixed,
+        partition: (leaves, splits, merges, part_epoch),
+        max_owned,
+        bootstraps,
+    }
+}
 
+fn main() {
+    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
+    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1500);
+    let ticks: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let reps = pdr_bench::bench_reps();
+    println!("adaptive_shard: n = {n}, ticks = {ticks}, cores = {cores}, reps = {reps}");
+
+    let runs: Vec<Run> = (0..reps).map(|_| run(n, ticks)).collect();
+    let first = &runs[0];
+    for r in &runs {
+        assert_eq!(
+            (r.partition, r.max_owned, r.bootstraps),
+            (first.partition, first.max_owned, first.bootstraps),
+            "the topology must follow the seeded stream, not the host"
+        );
+    }
+    let spread = |f: fn(&Run) -> f64| Spread::of(&runs.iter().map(f).collect::<Vec<_>>());
+    let (leaves, splits, merges, part_epoch) = first.partition;
+    let (bal_adaptive, bal_fixed) = first.max_owned;
+    let skew = skew(n);
+    let split_threshold = split_threshold(n);
     let caveat = if cores == 1 {
         "single-core host: shard fan-out is serialized, so the adaptive-vs-fixed \
          ratio reflects per-shard work balance only, not parallel speedup"
@@ -223,7 +282,8 @@ fn main() {
         "multi-core host: ratio includes parallel fan-out gains"
     };
     let json = format!(
-        "{{\n  \"n\": {n},\n  \"ticks\": {ticks},\n  \"available_parallelism\": {cores},\n  \
+        "{{\n  \"n\": {n},\n  \"ticks\": {ticks},\n  \"reps\": {reps},\n  \
+         \"available_parallelism\": {cores},\n  \
          \"skew\": {{\"hotspots\": 2, \"sigma\": 4.0, \"hotspot_fraction\": 0.85, \"drift\": 0.3, \
          \"update_period\": 4, \"seed\": {seed}}},\n  \
          \"policy\": {{\"split_threshold\": {split_threshold}, \"merge_threshold\": {merge_threshold}, \
@@ -231,14 +291,20 @@ fn main() {
          \"partition\": {{\"leaves\": {leaves}, \"splits\": {splits}, \"merges\": {merges}, \
          \"part_epoch\": {part_epoch}}},\n  \
          \"fixed_grid\": \"4x4\",\n  \"answers_identical\": true,\n  \
-         \"ingest_total_ms\": {{\"adaptive\": {ingest_ms_adaptive:.3}, \"fixed\": {ingest_ms_fixed:.3}}},\n  \
-         \"p95_query_ms\": {{\"adaptive\": {p95_adaptive:.4}, \"fixed\": {p95_fixed:.4}}},\n  \
-         \"p95_ratio_fixed_over_adaptive\": {ratio:.3},\n  \
+         \"ingest_total_ms\": {{\"adaptive\": {}, \"fixed\": {}}},\n  \
+         \"p95_query_ms\": {{\"adaptive\": {}, \"fixed\": {}}},\n  \
+         \"p95_ratio_fixed_over_adaptive\": {},\n  \
          \"max_owned_per_shard\": {{\"adaptive\": {bal_adaptive}, \"fixed\": {bal_fixed}}},\n  \
-         \"replica\": {{\"bootstraps\": {bootstraps}, \"replica_exact\": {replica_exact}}},\n  \
+         \"replica\": {{\"bootstraps\": {bootstraps}, \"replica_exact\": true}},\n  \
          \"caveat\": \"{caveat}\"\n}}\n",
+        spread(|r| r.ingest_ms_adaptive).json(3),
+        spread(|r| r.ingest_ms_fixed).json(3),
+        spread(|r| r.p95_adaptive).json(4),
+        spread(|r| r.p95_fixed).json(4),
+        spread(|r| r.p95_fixed / r.p95_adaptive).json(3),
         seed = skew.seed,
         merge_threshold = split_threshold / 8,
+        bootstraps = first.bootstraps,
     );
     pdr_bench::write_artifact("adaptive_shard", &json);
 }

@@ -6,15 +6,17 @@
 //!
 //! * **incremental** — one `maintain_subscriptions` pass: standing
 //!   queries grouped by `(ρ, l, resolved q_t)` and evaluated once per
-//!   group, dirty cells from the histogram's epoch diffs, refinement
-//!   of the affected candidate cells only, then per-subscription
+//!   group (a group whose answer the engine's memo holds at the current
+//!   histogram epoch is not re-evaluated), then per-subscription
 //!   clipped diffs;
 //! * **recompute** — the pre-subscription serving model: one
 //!   from-scratch `query` per standing subscription, clipped to its
 //!   region.
 //!
 //! Both produce bit-identical answers (asserted every tick); the point
-//! is the cost ratio, written to `BENCH_sub_incremental.json`.
+//! is the cost ratio, written to `BENCH_sub_incremental.json`. The
+//! engine's `dirty_cells` counter reports the candidate cells the
+//! pass's group evaluations refined.
 //!
 //! The workload models a production alert service, which is where the
 //! two sharing levers of the subscription plane actually engage.
@@ -23,17 +25,18 @@
 //! to `ρ = 0.04217`): same-tier subscriptions collapse into one group
 //! evaluation plus cheap per-region clips, so group cost amortizes
 //! across the fleet. Half the fleet pins a fixed forecast timestamp
-//! ("the 5 PM picture", re-resolved as updates stream in): those
-//! groups keep a stable cache key across ticks, and each tick
-//! re-refines only the cells the tick's churn dirtied. Sliding
-//! (`now + k`) groups resolve to a fresh timestamp every tick —
-//! objects *move*, so yesterday's refinement cannot be reused — and
-//! for them the win is the grouping alone.
+//! ("the 5 PM picture", re-resolved as updates stream in), half slides
+//! with the clock (`now + k`); every tick's churn moves the histogram
+//! epoch, so each group is evaluated once per tick, and the win is the
+//! grouping.
 //!
 //! Usage: `cargo bench --bench sub_incremental [-- <n_objects>
-//! <ticks>]` (defaults: 1 500 objects, 3 ticks).
+//! <ticks>]` (defaults: 1 500 objects, 3 ticks). Under `cargo bench`
+//! every subscription count runs five times, interleaved, and the
+//! artifact reports each timing's median and quartiles; a run for the
+//! asserts alone (`cargo test --bench sub_incremental`) runs once.
 
-use pdr_bench::Lcg;
+use pdr_bench::{Lcg, Spread};
 use pdr_core::{DensityEngine, EngineSpec, FrConfig, PdrQuery, QtPolicy, SubscriptionTable};
 use pdr_geometry::{Point, Rect};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Update};
@@ -70,7 +73,6 @@ fn counter(e: &dyn DensityEngine, name: &str) -> u64 {
 }
 
 struct Row {
-    subs: usize,
     incremental_us: f64,
     recompute_us: f64,
     dirty_cells: u64,
@@ -164,7 +166,6 @@ fn run(subs: usize, n: usize, ticks: u64) -> Row {
         }
     }
     Row {
-        subs,
         incremental_us: incremental_us / ticks as f64,
         recompute_us: recompute_us / ticks as f64,
         dirty_cells: counter(eng.as_ref(), "dirty_cells") - dirty_before,
@@ -176,32 +177,52 @@ fn main() {
     let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_500);
     let ticks: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(3);
-    println!("sub_incremental: n = {n}, ticks = {ticks}, extent = {EXTENT}, l = {L}");
+    let reps = pdr_bench::bench_reps();
+    println!(
+        "sub_incremental: n = {n}, ticks = {ticks}, extent = {EXTENT}, l = {L}, reps = {reps}"
+    );
 
+    const SUBS: [usize; 4] = [1, 10, 100, 1000];
+    let mut runs: Vec<Vec<Row>> = SUBS.iter().map(|_| Vec::new()).collect();
+    for _ in 0..reps {
+        for (k, &subs) in SUBS.iter().enumerate() {
+            let row = run(subs, n, ticks);
+            println!(
+                "subs={subs:<5} incremental {:>10.1} us/tick  recompute {:>12.1} us/tick  \
+                 speedup {:>7.2}x  dirty_cells {}  deltas {}",
+                row.incremental_us,
+                row.recompute_us,
+                row.recompute_us / row.incremental_us.max(1e-9),
+                row.dirty_cells,
+                row.deltas_emitted
+            );
+            runs[k].push(row);
+        }
+    }
     let mut rows = Vec::new();
-    for subs in [1usize, 10, 100, 1000] {
-        let row = run(subs, n, ticks);
-        let speedup = row.recompute_us / row.incremental_us.max(1e-9);
-        println!(
-            "subs={subs:<5} incremental {:>10.1} us/tick  recompute {:>12.1} us/tick  \
-             speedup {speedup:>7.2}x  dirty_cells {}  deltas {}",
-            row.incremental_us, row.recompute_us, row.dirty_cells, row.deltas_emitted
-        );
+    for (&subs, runs) in SUBS.iter().zip(&runs) {
+        let first = &runs[0];
+        // The work is a function of the seeded workload, not the host.
+        assert!(runs.iter().all(
+            |r| (r.dirty_cells, r.deltas_emitted) == (first.dirty_cells, first.deltas_emitted)
+        ));
+        let spread = |f: fn(&Row) -> f64| Spread::of(&runs.iter().map(f).collect::<Vec<_>>());
         rows.push(format!(
-            "    {{\"subs\": {}, \"incremental_us_per_tick\": {:.1}, \
-             \"recompute_us_per_tick\": {:.1}, \"speedup\": {:.2}, \
+            "    {{\"subs\": {subs}, \"incremental_us_per_tick\": {}, \
+             \"recompute_us_per_tick\": {}, \"speedup\": {}, \
              \"dirty_cells\": {}, \"deltas_emitted\": {}}}",
-            row.subs,
-            row.incremental_us,
-            row.recompute_us,
-            speedup,
-            row.dirty_cells,
-            row.deltas_emitted
+            spread(|r| r.incremental_us).json(1),
+            spread(|r| r.recompute_us).json(1),
+            spread(|r| r.recompute_us / r.incremental_us.max(1e-9)).json(2),
+            first.dirty_cells,
+            first.deltas_emitted
         ));
     }
 
     let json = format!(
         "{{\n  \"n\": {n},\n  \"ticks\": {ticks},\n  \"extent\": {EXTENT},\n  \"l\": {L},\n  \
+         \"reps\": {reps},\n  \
+         \"notes\": {{\"dirty_cells\": \"candidate cells refined by group evaluations, summed over the ticks\"}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );

@@ -29,9 +29,7 @@
 //! never touching concrete types.
 
 use crate::obs::ObsReport;
-use crate::sub::{
-    group_key, retain_groups, AnswerDelta, GroupKey, QtPolicy, SubError, SubId, SubscriptionTable,
-};
+use crate::sub::{AnswerDelta, GroupMemo, QtPolicy, SubError, SubId, SubscriptionTable};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     baselines, classify_cells, dh_optimistic, dh_pessimistic, ExactOracle, FrConfig, FrEngine,
@@ -43,7 +41,6 @@ use pdr_mobject::{
     screen_batch, MotionState, ObjectId, ObjectTable, TimeHorizon, Timestamp, Update,
 };
 use pdr_storage::{CostModel, FaultPlan, FaultStats, IoStats, StorageError};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// One engine's answer to a PDR query, in units every method shares.
@@ -263,10 +260,10 @@ pub trait DensityEngine: Send + Sync {
     /// (one distinct `(ρ, l, resolved q_t)` each), in order — the one
     /// hook through which engines specialize subscription maintenance.
     /// The default runs [`try_query`](Self::try_query) once per group;
-    /// FR overrides it with its dirty-cell group cache and DH with its
-    /// epoch cache, and each override drops the cached state of every
-    /// group not passed in. An `Err` marks the group's subscriptions
-    /// degraded for this pass.
+    /// FR and DH override it with a group memo that serves a group's
+    /// last whole answer while their histogram epoch stands and drops
+    /// the entry of every group not passed in. An `Err` marks the
+    /// group's subscriptions degraded for this pass.
     fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
         groups
             .iter()
@@ -725,12 +722,8 @@ pub struct DhEngine {
     rejected_updates: u64,
     live: i64,
     subs: SubscriptionTable,
-    /// Incremental-maintenance cache: one classified answer per
-    /// distinct `(ρ, l, q_t)` group of standing queries, tagged with the
-    /// histogram epoch it was computed at. An unchanged epoch means no
-    /// update touched the histogram, so the cached answer is reused
-    /// without reclassifying.
-    sub_cache: HashMap<GroupKey, (u64, RegionSet)>,
+    /// Last whole answer per standing-query group and histogram epoch.
+    memo: GroupMemo,
 }
 
 impl DhEngine {
@@ -744,7 +737,7 @@ impl DhEngine {
             rejected_updates: 0,
             live: 0,
             subs: SubscriptionTable::new(),
-            sub_cache: HashMap::new(),
+            memo: GroupMemo::default(),
         }
     }
 
@@ -815,25 +808,15 @@ impl DensityEngine for DhEngine {
         &mut self.subs
     }
 
-    /// Answers each group through the epoch-tagged cache: an answer
-    /// computed at the current histogram epoch is reused as is.
+    /// Answers each group through the group memo: an answer stored at
+    /// the current histogram epoch is reused as is.
     fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
-        retain_groups(&mut self.sub_cache, groups);
-        let epoch = self.histogram.epoch();
-        groups
-            .iter()
-            .map(|q| {
-                let key = group_key(q);
-                if let Some((e, cached)) = self.sub_cache.get(&key) {
-                    if *e == epoch {
-                        return Ok(cached.clone());
-                    }
-                }
-                let regions = self.query(q).regions;
-                self.sub_cache.insert(key, (epoch, regions.clone()));
-                Ok(regions)
-            })
-            .collect()
+        let mut memo = std::mem::take(&mut self.memo);
+        let answers = memo.answer(groups, self.histogram.epoch(), |q| {
+            Ok(self.query(q).regions)
+        });
+        self.memo = memo;
+        answers
     }
 }
 
@@ -1167,6 +1150,32 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// DH answers standing groups through the group memo: a group
+    /// stored at the current histogram epoch is served as stored (a
+    /// planted answer is what the pass commits), and an advance forces a
+    /// fresh evaluation.
+    #[test]
+    fn dh_groups_reuse_the_memo_until_the_epoch_moves() {
+        let mut dh = DhEngine::new(small_fr_cfg(), DhMode::Optimistic, 0);
+        dh.bulk_load(&population(400), 0);
+        let full = Rect::new(0.0, 0.0, 100.0, 100.0);
+        let id = dh
+            .register_subscription(0.05, 10.0, full, QtPolicy::Fixed(2))
+            .unwrap();
+        let q = PdrQuery::new(0.05, 10.0, 2);
+        let planted = RegionSet::from_rects([Rect::new(1.0, 1.0, 2.0, 2.0)]);
+        let epoch = dh.histogram().epoch();
+        let _ = dh.memo.answer(&[q], epoch, |_| Ok(planted.clone()));
+        dh.maintain_subscriptions(0);
+        assert_eq!(dh.subscriptions().answer(id), Some(planted.rects()));
+
+        dh.advance_to(1);
+        dh.maintain_subscriptions(1);
+        let fresh = SubscriptionTable::clip(&dh.query(&q).regions, full);
+        assert_ne!(fresh.rects(), planted.rects());
+        assert_eq!(dh.subscriptions().answer(id), Some(fresh.rects()));
     }
 
     #[test]

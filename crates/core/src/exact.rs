@@ -56,7 +56,7 @@ pub struct ExactOracle {
     updates_applied: u64,
     missed_deletes: u64,
     /// Standing subscriptions (maintained by recompute — the oracle has
-    /// no incremental path and does not need one).
+    /// no group memo and does not need one).
     pub(crate) subs: crate::sub::SubscriptionTable,
 }
 

@@ -2,7 +2,7 @@
 
 use crate::exec::Executor;
 use crate::obs::{Counter, Histogram, ObsReport};
-use crate::sub::{group_key, retain_groups, AnswerDelta, GroupKey, SubscriptionTable};
+use crate::sub::{AnswerDelta, GroupMemo, SubscriptionTable};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     classify_cells, dh_optimistic, refine_region, CellClass, Classification, DenseThreshold,
@@ -152,9 +152,10 @@ struct FrObs {
     /// number of candidate cells (the old code paid two fresh vectors
     /// per cell).
     refine_allocs: Counter,
-    /// Candidate cells actually re-refined by subscription maintenance
-    /// (the dirty set after dilation — the work the incremental path
-    /// could not reuse from its group cache).
+    /// Candidate cells refined by standing-group evaluations — the
+    /// maintenance work the group memo could not serve (a group whose
+    /// answer is stored at the current epoch refines none). Ad-hoc
+    /// queries count theirs under `candidate_cells` instead.
     dirty_cells: Counter,
     classify_time: Histogram,
     range_time: Histogram,
@@ -246,22 +247,8 @@ pub struct FrEngine<I: RangeIndex = TprTree> {
     /// Standing subscriptions (engine-plane state: never checkpointed,
     /// preserved across restores so maintenance emits catch-up deltas).
     subs: SubscriptionTable,
-    /// Incremental-maintenance cache, one entry per distinct
-    /// `(ρ, l, q_t)` group of standing queries (see [`GroupCache`]).
-    sub_cache: HashMap<GroupKey, GroupCache>,
-}
-
-/// Cached incremental-maintenance state of one standing-query group:
-/// the histogram epoch it was computed at, every candidate cell's
-/// refined rectangles (ascending linear cell index), and the assembled
-/// canonical full-domain answer. A maintenance pass at an unchanged
-/// epoch reuses `full` outright; otherwise only candidate cells inside
-/// the dilated dirty set are re-refined and the rest reuse their cached
-/// rectangles bit-for-bit.
-struct GroupCache {
-    epoch: u64,
-    cells: Vec<(usize, Vec<Rect>)>,
-    full: RegionSet,
+    /// Last whole answer per standing-query group and histogram epoch.
+    memo: GroupMemo,
 }
 
 impl FrEngine<TprTree> {
@@ -303,7 +290,7 @@ impl<I: RangeIndex> FrEngine<I> {
             rejected_updates: 0,
             obs: Arc::new(FrObs::on()),
             subs: SubscriptionTable::new(),
-            sub_cache: HashMap::new(),
+            memo: GroupMemo::default(),
         }
     }
 
@@ -350,7 +337,7 @@ impl<I: RangeIndex> FrEngine<I> {
             rejected_updates: 0,
             obs: Arc::new(FrObs::on()),
             subs: SubscriptionTable::new(),
-            sub_cache: HashMap::new(),
+            memo: GroupMemo::default(),
         }
     }
 
@@ -552,9 +539,9 @@ impl<I: RangeIndex> FrEngine<I> {
     /// Refines `cells` (see [`refine_cells`]) across up to
     /// [`worker_count`](Self::worker_count) executor tasks. Chunking is
     /// a pure function of (workers, cells), and the executor returns
-    /// chunk results in index order, so the merged per-cell sequence is
-    /// identical at every pool size — including zero workers, where the
-    /// scope runs inline.
+    /// chunk results in index order, so the merged rectangle sequence
+    /// is identical at every pool size — including zero workers, where
+    /// the scope runs inline.
     fn refine(&self, cells: Vec<CellId>, q: &PdrQuery, threshold: DenseThreshold) -> RefineResult {
         let grid = self.histogram.grid();
         let workers = self.worker_count(cells.len());
@@ -564,7 +551,7 @@ impl<I: RangeIndex> FrEngine<I> {
         }
         let chunk_len = cells.len().div_ceil(workers);
         let chunks = cells.len().div_ceil(chunk_len);
-        let mut merged = (Vec::with_capacity(cells.len()), 0, IoStats::default());
+        let mut merged = (Vec::new(), 0, IoStats::default());
         let tree = Arc::clone(&self.tree);
         let obs = Arc::clone(&self.obs);
         let cells = Arc::new(cells);
@@ -624,7 +611,7 @@ impl<I: RangeIndex> FrEngine<I> {
             self.cached_classification(q)
         };
         self.tree.reset_io_stats();
-        let ev = self.evaluate(q, &cls, None)?;
+        let ev = self.evaluate(q, &cls)?;
         self.obs.queries.inc();
         if enabled {
             self.obs.accepted_cells.add(cls.accept_count() as u64);
@@ -646,65 +633,25 @@ impl<I: RangeIndex> FrEngine<I> {
     /// The one evaluation pipeline behind ad-hoc queries and standing
     /// groups (Algorithms 1–3 after the filter step): accept cells are
     /// taken whole, candidate cells are refined by range query + plane
-    /// sweep, and everything merges into the canonical answer. `reuse`
-    /// — a standing group's previous evaluation — only decides which
-    /// candidate cells are refined: a clean cell it covers contributes
-    /// its cached rectangles instead. Ad-hoc queries pass `None`, which
-    /// refines every candidate and records the merge stage.
-    fn evaluate(
-        &self,
-        q: &PdrQuery,
-        cls: &Classification,
-        reuse: Option<Reuse<'_>>,
-    ) -> Result<Evaluation, StorageError> {
+    /// sweep, and everything merges into the canonical answer.
+    fn evaluate(&self, q: &PdrQuery, cls: &Classification) -> Result<Evaluation, StorageError> {
         let grid = self.histogram.grid();
-        let threshold = DenseThreshold::of(q);
-        let ad_hoc = reuse.is_none();
-        let candidates = cls.cells_of(CellClass::Candidate);
-        let (cells, retrieved, io) = match reuse {
-            None => self.refine(candidates.collect(), q, threshold)?,
-            Some(reuse) => {
-                let cached: Vec<(CellId, Option<&Vec<Rect>>)> = candidates
-                    .map(|c| (c, reuse.clean(grid.linear_index(c))))
-                    .collect();
-                let to_refine: Vec<CellId> = cached
-                    .iter()
-                    .filter(|(_, hit)| hit.is_none())
-                    .map(|&(c, _)| c)
-                    .collect();
-                if self.obs.enabled() {
-                    self.obs.dirty_cells.add(to_refine.len() as u64);
-                }
-                let (refined, retrieved, io) = self.refine(to_refine, q, threshold)?;
-                let mut refined = refined.into_iter();
-                let cells = cached
-                    .into_iter()
-                    .map(|(c, hit)| match hit {
-                        Some(rects) => (grid.linear_index(c), rects.clone()),
-                        None => refined.next().expect("one refined entry per dirty cell"),
-                    })
-                    .collect();
-                (cells, retrieved, io)
-            }
-        };
-        let _t = self.obs.merge_time.timer(ad_hoc && self.obs.enabled());
+        let candidates = cls.cells_of(CellClass::Candidate).collect();
+        let (rects, retrieved, io) = self.refine(candidates, q, DenseThreshold::of(q))?;
+        let _t = self.obs.merge_time.timer(self.obs.enabled());
         let mut regions = RegionSet::new();
         for cell in cls.cells_of(CellClass::Accept) {
             regions.push(grid.cell_rect(cell));
         }
-        for (_, rects) in &cells {
-            for r in rects {
-                regions.push(*r);
-            }
+        for r in rects {
+            regions.push(r);
         }
         // Canonical (exact) compaction: the exact answer must be a pure
-        // function of the dense point set so that a sharded plane — and
-        // a group assembled from cached cells — reproduces it
-        // rect-for-rect.
+        // function of the dense point set so that a sharded plane
+        // reproduces it rect-for-rect.
         regions.canonicalize();
         Ok(Evaluation {
             regions,
-            cells,
             retrieved,
             io,
         })
@@ -806,11 +753,11 @@ impl<I: RangeIndex> FrEngine<I> {
         self.missed_deletes = missed_deletes;
         self.rejected_updates = rejected_updates;
         self.cache = RwLock::new(ClassificationCache::new());
-        // The restored histogram restarts its epoch at zero, so cached
-        // group evaluations are meaningless; subscriptions themselves
+        // The restored histogram restarts its epoch at zero, so stored
+        // group answers are meaningless; subscriptions themselves
         // survive (the next maintenance recomputes and emits exact
         // catch-up deltas against their preserved answers).
-        self.sub_cache.clear();
+        self.memo.clear();
         Ok(())
     }
 
@@ -843,113 +790,38 @@ impl<I: RangeIndex> FrEngine<I> {
         DensityEngine::maintain_subscriptions(self, now)
     }
 
-    /// Evaluates standing-query groups through the dirty-cell group
-    /// cache (the FR [`DensityEngine::eval_groups`]). Per group, the
-    /// histogram's dirty-cell marks
-    /// ([`DensityHistogram::dirty_cells_since`]) identify exactly the
-    /// cells whose classification or refinement can differ from the
-    /// group's cached evaluation; only candidate cells inside the dirty
-    /// set (dilated by the query's cell reach) are re-refined, while
-    /// every clean candidate reuses its cached rectangles bit-for-bit.
-    /// A group evaluated at an unchanged epoch is reused outright.
-    ///
-    /// On a storage fault the group's previous cache entry is kept, so
-    /// the next pass retries from it instead of recomputing in full.
+    /// Evaluates standing-query groups through the group memo (the FR
+    /// [`DensityEngine::eval_groups`]): a group whose answer is stored
+    /// at the current histogram epoch is served as is, every other group
+    /// runs the full [`evaluate`](Self::evaluate) pipeline, and its
+    /// refined candidate cells count under `dirty_cells`. A storage
+    /// fault fails the group and leaves its previous entry in place.
     pub fn eval_groups(&mut self, groups: &[PdrQuery]) -> Vec<Result<RegionSet, StorageError>> {
-        retain_groups(&mut self.sub_cache, groups);
-        groups.iter().map(|q| self.eval_group(q)).collect()
-    }
-
-    fn eval_group(&mut self, q: &PdrQuery) -> Result<RegionSet, StorageError> {
-        let key = group_key(q);
-        let epoch = self.histogram.epoch();
-        if let Some(c) = self.sub_cache.get(&key).filter(|c| c.epoch == epoch) {
-            return Ok(c.full.clone());
-        }
-        let grid = self.histogram.grid();
-        let cls = self.cached_classification(q);
-        let old = self.sub_cache.remove(&key);
-        // Cells whose classification or refinement may differ from the
-        // cached evaluation: everything within Chebyshev distance
-        // η_h + 1 of a cell some update dirtied since the cache epoch
-        // (η_h = ⌈l / 2l_c⌉ covers both the classification windows and
-        // the l/2 range-query reach; +1 absorbs the clamped marking of
-        // out-of-grid trajectory segments).
-        let dirty_mask: Option<Vec<bool>> = old.as_ref().map(|c| {
-            let m = grid.cells_per_side() as i64;
-            let mut mask = vec![false; grid.cell_count()];
-            let eta = (q.l / (2.0 * grid.cell_edge())).ceil() as i64 + 1;
-            for cell in self.histogram.dirty_cells_since(c.epoch) {
-                let (col, row) = (cell.col as i64, cell.row as i64);
-                for r in (row - eta).max(0)..=(row + eta).min(m - 1) {
-                    for c_ in (col - eta).max(0)..=(col + eta).min(m - 1) {
-                        mask[(r * m + c_) as usize] = true;
-                    }
-                }
+        let mut memo = std::mem::take(&mut self.memo);
+        let answers = memo.answer(groups, self.histogram.epoch(), |q| {
+            let cls = self.cached_classification(q);
+            if self.obs.enabled() {
+                self.obs.dirty_cells.add(cls.candidate_count() as u64);
             }
-            mask
+            self.evaluate(q, &cls).map(|ev| ev.regions)
         });
-        let reuse = Reuse {
-            cells: old.as_ref().map_or(&[], |c| &c.cells),
-            dirty: dirty_mask.as_deref().unwrap_or(&[]),
-        };
-        match self.evaluate(q, &cls, Some(reuse)) {
-            Ok(ev) => {
-                self.sub_cache.insert(
-                    key,
-                    GroupCache {
-                        epoch,
-                        cells: ev.cells,
-                        full: ev.regions.clone(),
-                    },
-                );
-                Ok(ev.regions)
-            }
-            Err(e) => {
-                if let Some(c) = old {
-                    self.sub_cache.insert(key, c);
-                }
-                Err(e)
-            }
-        }
-    }
-}
-
-/// A standing group's previous evaluation, offered to
-/// [`FrEngine::evaluate`] for reuse: every candidate cell's rectangles
-/// (ascending linear index) and the mask of cells dirtied since. An
-/// empty mask means nothing was cached.
-struct Reuse<'a> {
-    cells: &'a [(usize, Vec<Rect>)],
-    dirty: &'a [bool],
-}
-
-impl Reuse<'_> {
-    /// The cached rectangles of cell `li`, when it is clean and cached.
-    fn clean(&self, li: usize) -> Option<&Vec<Rect>> {
-        if self.dirty.get(li).copied().unwrap_or(true) {
-            return None;
-        }
-        let k = self.cells.binary_search_by_key(&li, |(i, _)| *i).ok()?;
-        Some(&self.cells[k].1)
+        self.memo = memo;
+        answers
     }
 }
 
 /// What one pass of the evaluation pipeline produced: the canonical
-/// answer, each candidate cell's rectangles (ascending linear index),
-/// and the refinement's retrieved-object count and I/O.
+/// answer and the refinement's retrieved-object count and I/O.
 struct Evaluation {
     regions: RegionSet,
-    cells: Vec<(usize, Vec<Rect>)>,
     retrieved: usize,
     io: IoStats,
 }
 
-/// One refinement's yield: each cell's dense rectangles, keyed by
-/// linear cell index and in cell order (the subscription group cache
-/// reuses them per cell while the cell stays clean), the objects
-/// retrieved and the I/O — or the storage fault that aborted it.
-type RefineResult = Result<(Vec<(usize, Vec<Rect>)>, usize, IoStats), StorageError>;
+/// One refinement's yield: the cells' dense rectangles, in cell order,
+/// the objects retrieved and the I/O — or the storage fault that
+/// aborted it.
+type RefineResult = Result<(Vec<Rect>, usize, IoStats), StorageError>;
 
 /// Refines candidate cells one by one: a range query over the
 /// `l/2`-inflated cell followed by the plane sweep. Self-contained (own
@@ -965,7 +837,7 @@ fn refine_cells<I: RangeIndex>(
     threshold: DenseThreshold,
     obs: Option<&FrObs>,
 ) -> RefineResult {
-    let mut out = Vec::with_capacity(cells.len());
+    let mut out = Vec::new();
     let mut retrieved = 0usize;
     let mut io = IoStats::default();
     // Scratch reused across every cell: the range query refills `hits`,
@@ -992,8 +864,7 @@ fn refine_cells<I: RangeIndex>(
                 u64::from(hits.capacity() != caps.0) + u64::from(positions.capacity() != caps.1),
             );
         }
-        let rects = refine_region(&target, &mut positions, threshold, q.l);
-        out.push((grid.linear_index(cell), rects));
+        out.extend(refine_region(&target, &mut positions, threshold, q.l));
     }
     Ok((out, retrieved, io))
 }
@@ -1002,7 +873,7 @@ fn refine_cells<I: RangeIndex>(
 mod tests {
     use super::*;
     use crate::test_rng::Lcg;
-    use crate::{accuracy, DensityEngine, ExactOracle};
+    use crate::{accuracy, DensityEngine, ExactOracle, QtPolicy};
     use pdr_geometry::Rect;
 
     fn cfg() -> FrConfig {
@@ -1255,6 +1126,51 @@ mod tests {
                 "merged per-thread I/O diverged at threads = {threads}"
             );
         }
+    }
+
+    /// Standing groups are answered from the group memo while the
+    /// histogram epoch stands: a second pass at an unchanged epoch
+    /// refines no cell and retrieves no object, and an `apply` or an
+    /// `advance_to` forces a fresh evaluation.
+    #[test]
+    fn group_memo_serves_passes_at_an_unchanged_epoch() {
+        let mut fr = FrEngine::new(cfg(), 0);
+        fr.bulk_load(&clustered_population(600, 17), 0);
+        // Two subscriptions of one group: a pinned q_t keeps its key.
+        for region in [
+            Rect::new(0.0, 0.0, 200.0, 200.0),
+            Rect::new(50.0, 50.0, 120.0, 120.0),
+        ] {
+            fr.register_subscription(0.05, 20.0, region, QtPolicy::Fixed(3))
+                .unwrap();
+        }
+        let work = |fr: &FrEngine| {
+            let r = fr.obs_report();
+            (
+                r.counter("dirty_cells").unwrap(),
+                r.counter("objects_retrieved").unwrap(),
+                r.stage("range").unwrap().count,
+            )
+        };
+        fr.maintain_subs(0);
+        let first = work(&fr);
+        assert!(first.0 > 0, "the first pass refines the group's candidates");
+        assert!(fr.maintain_subs(0).is_empty());
+        assert_eq!(work(&fr), first, "a pass at an unchanged epoch did work");
+
+        fr.apply(&Update::insert(
+            ObjectId(1_000_000),
+            0,
+            MotionState::stationary(Point::new(80.0, 80.0), 0),
+        ));
+        fr.maintain_subs(0);
+        let after_apply = work(&fr);
+        assert!(after_apply.0 > first.0, "an apply must force an evaluation");
+        assert!(after_apply.2 > first.2);
+
+        fr.advance_to(1);
+        fr.maintain_subs(1);
+        assert!(work(&fr).0 > after_apply.0, "an advance must force one too");
     }
 
     /// An update between two queries at the same `q_t` must invalidate

@@ -23,10 +23,12 @@
 //! [`DensityEngine::eval_groups`](crate::DensityEngine::eval_groups), and
 //! the table commits each subscription's clipped answer — or marks it
 //! degraded when its group failed. Engines differ only in how they
-//! evaluate a group: the default runs one `try_query` per group, FR
-//! reuses clean candidate cells from its dirty-cell group cache (see
-//! `pdr_histogram::DensityHistogram::dirty_cells_since`) and DH reuses
-//! whole answers while the histogram epoch stands. A sharded plane
+//! evaluate a group: the default runs one `try_query` per group, while
+//! FR and DH answer through a [`GroupMemo`], which keeps each group's
+//! last whole answer and reuses it while the histogram epoch stands.
+//! Once the epoch moves the group is simply evaluated afresh: under the
+//! update protocol an engine's state is a function of the live reports,
+//! so a fresh evaluation *is* the maintained answer. A sharded plane
 //! keeps the only table; its shards hold no subscriptions and only
 //! evaluate the groups the plane hands them.
 
@@ -34,6 +36,7 @@ use crate::obs::{Histogram, HistogramSnapshot};
 use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
+use pdr_storage::StorageError;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -44,11 +47,10 @@ pub struct SubId(pub u64);
 
 /// How a standing query's evaluation timestamp tracks the clock.
 ///
-/// Both policies resolve to a timestamp `≥ now`: incremental
-/// maintenance relies on every update dirtying the cells it can affect
-/// at *current-or-future* timestamps, so standing queries about the
-/// past are clamped to the present (the engines' horizon ring buffer
-/// recycles past slots anyway).
+/// Both policies resolve to a timestamp `≥ now`: the engines' horizon
+/// ring buffer recycles the slots of past timestamps, so a standing
+/// query about the past is clamped to the present, the oldest moment
+/// the engine can still answer for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QtPolicy {
     /// Evaluate at a fixed timestamp, clamped up to `now` once the
@@ -284,12 +286,49 @@ pub(crate) fn group_key(q: &PdrQuery) -> GroupKey {
     (q.rho.to_bits(), q.l.to_bits(), q.q_t)
 }
 
-/// Drops every cached group evaluation whose key is not among `groups`
-/// (unregistered, or a sliding `q_t` moved on) — what each
-/// [`eval_groups`](crate::DensityEngine::eval_groups) override does
-/// before evaluating.
-pub(crate) fn retain_groups<V>(cache: &mut HashMap<GroupKey, V>, groups: &[PdrQuery]) {
-    cache.retain(|k, _| groups.iter().any(|q| group_key(q) == *k));
+/// The last whole answer of each standing-query group, tagged with the
+/// histogram epoch it was evaluated at — the group-answer reuse of the
+/// engines whose state is one epoch-stamped histogram (FR, DH). An
+/// unchanged epoch means no update or advance changed the histogram
+/// since the answer was stored, so it still is the engine's answer; any
+/// other epoch re-evaluates.
+#[derive(Debug, Default)]
+pub(crate) struct GroupMemo {
+    entries: HashMap<GroupKey, (u64, RegionSet)>,
+}
+
+impl GroupMemo {
+    /// Answers `groups`, in order, at histogram epoch `epoch`: first
+    /// drops the entry of every group not among `groups` (unregistered,
+    /// or a sliding `q_t` moved on), then serves each group stored at
+    /// `epoch` and evaluates (and stores) the rest through `eval`. A
+    /// failed evaluation leaves the group's previous entry in place.
+    pub(crate) fn answer(
+        &mut self,
+        groups: &[PdrQuery],
+        epoch: u64,
+        mut eval: impl FnMut(&PdrQuery) -> Result<RegionSet, StorageError>,
+    ) -> Vec<Result<RegionSet, StorageError>> {
+        self.entries
+            .retain(|k, _| groups.iter().any(|q| group_key(q) == *k));
+        groups
+            .iter()
+            .map(|q| {
+                let key = group_key(q);
+                if let Some((_, hit)) = self.entries.get(&key).filter(|(e, _)| *e == epoch) {
+                    return Ok(hit.clone());
+                }
+                let answer = eval(q)?;
+                self.entries.insert(key, (epoch, answer.clone()));
+                Ok(answer)
+            })
+            .collect()
+    }
+
+    /// Forgets every entry (a restored histogram restarts its epochs).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 /// One maintenance pass between
@@ -633,6 +672,49 @@ mod tests {
         assert!(d.resync && d.is_empty() && !d.degraded);
         // The flag is one-shot.
         assert!(t.commit(id, ans, 3, 4).is_none());
+    }
+
+    /// The memo's contract: a group stored at the pass's epoch is served
+    /// without evaluating, any other epoch re-evaluates, a group missing
+    /// from a pass is evicted, and a failed evaluation keeps the group's
+    /// previous entry.
+    #[test]
+    fn group_memo_hits_evicts_and_keeps_entries_past_failures() {
+        let (a, b) = (PdrQuery::new(0.1, 10.0, 1), PdrQuery::new(0.2, 10.0, 1));
+        let ans = |q: &PdrQuery| RegionSet::from_rects([r(q.rho, 0.0, 1.0, 1.0)]);
+        let pass = |memo: &mut GroupMemo, groups: &[PdrQuery], epoch: u64| {
+            let mut evals = 0;
+            let out = memo.answer(groups, epoch, |q| {
+                evals += 1;
+                Ok(ans(q))
+            });
+            for (q, got) in groups.iter().zip(out) {
+                assert_eq!(got.unwrap().rects(), ans(q).rects());
+            }
+            evals
+        };
+        let mut memo = GroupMemo::default();
+        assert_eq!(pass(&mut memo, &[a, b], 1), 2);
+        assert_eq!(pass(&mut memo, &[a, b], 1), 0, "same epoch: both hits");
+        assert_eq!(pass(&mut memo, &[a, b], 2), 2, "new epoch: both evaluated");
+        assert_eq!(pass(&mut memo, &[a], 2), 0);
+        assert_eq!(pass(&mut memo, &[a, b], 2), 1, "dropped group was evicted");
+
+        let fault = StorageError::ReadFailed {
+            page: pdr_storage::PageId(0),
+            transient: true,
+        };
+        let out = memo.answer(
+            &[a, b],
+            3,
+            |q| if q == &b { Err(fault) } else { Ok(ans(q)) },
+        );
+        assert_eq!(out[1], Err(fault));
+        assert_eq!(
+            pass(&mut memo, &[b], 2),
+            0,
+            "the failure kept b's epoch-2 entry"
+        );
     }
 
     #[test]

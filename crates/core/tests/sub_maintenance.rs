@@ -161,7 +161,9 @@ fn shard_fault_degrades_exactly_the_subscriptions_it_owns() {
 /// A transient read fault on an unsharded FR engine degrades every
 /// subscription of the group whose evaluation it aborts; the first
 /// clean pass afterwards emits catch-up deltas that bring each
-/// delta-replayed mirror to the clipped from-scratch answer.
+/// delta-replayed mirror to the clipped from-scratch answer. A failed
+/// group stores no answer in the memo, so a retry at the same epoch
+/// re-evaluates it.
 #[test]
 fn transient_fault_degrades_the_group_then_catches_up() {
     let mut eng = EngineSpec::Fr(fr_cfg()).build(0);
@@ -210,11 +212,34 @@ fn transient_fault_degrades_the_group_then_catches_up() {
         assert_eq!(table.answer(*id).expect("registered"), &want[..]);
         assert_eq!(mirrors[&id.0], want, "sub {k}: catch-up mirror diverged");
     }
+
+    // A failed evaluation stores nothing under the new epoch: a retry
+    // at the same epoch evaluates the group afresh (refines cells) and
+    // catches up, and only then does the memo serve it.
+    let dirty = |e: &dyn DensityEngine| e.obs().counter("dirty_cells").expect("FR counts");
+    eng.advance_to(3);
+    eng.apply_batch(&far_corner_batch(&mut rng, &mut next_oid, 3));
+    eng.set_fault_plan(FaultPlan::new(5).with_read_fault(1, 1));
+    let deltas = eng.maintain_subscriptions(3);
+    assert!(deltas.iter().all(|d| d.degraded && d.is_empty()));
+    replay(&mut mirrors, &deltas);
+    let before_retry = dirty(eng.as_ref());
+    let deltas = eng.maintain_subscriptions(3);
+    assert_eq!(deltas.len(), ids.len(), "the retry clears every marker");
+    assert!(dirty(eng.as_ref()) > before_retry, "the retry re-evaluated");
+    replay(&mut mirrors, &deltas);
+    for (k, id) in ids.iter().enumerate() {
+        let want = reference(eng.as_ref(), rho, 4, regions[k]);
+        assert_eq!(mirrors[&id.0], want, "sub {k}: retry mirror diverged");
+    }
+    let after_retry = dirty(eng.as_ref());
+    assert!(eng.maintain_subscriptions(3).is_empty());
+    assert_eq!(dirty(eng.as_ref()), after_retry, "memo hit refined cells");
 }
 
 /// Standing queries that share `(ρ, l, resolved q_t)` are one group:
 /// a maintenance pass over 8 of them on a PA engine (which has no
-/// incremental path of its own) costs one PA query, not eight.
+/// group memo of its own) costs one PA query, not eight.
 #[test]
 fn identical_standing_queries_cost_one_query_per_pass() {
     let mut eng = EngineSpec::Pa(PaConfig {

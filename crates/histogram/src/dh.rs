@@ -45,18 +45,10 @@ pub struct DensityHistogram {
     counts: Vec<i32>,
     /// Monotone mutation counter: bumped whenever the counters can have
     /// changed ([`apply`](Self::apply), [`advance_to`](Self::advance_to)).
-    /// Derived per-timestamp state (prefix sums, classifications) cached
-    /// under an epoch stays valid exactly while the epoch is unchanged.
+    /// Derived state cached under an epoch (prefix sums,
+    /// classifications, standing-group answers) stays valid exactly
+    /// while the epoch is unchanged.
     epoch: u64,
-    /// Per-cell epoch of the last [`apply`](Self::apply) whose motion
-    /// touched the cell at *any* in-window timestamp (positions outside
-    /// the grid are clamped to the nearest boundary cell, so boundary
-    /// effects stay covered). Incremental consumers diff this against a
-    /// remembered epoch via [`dirty_cells_since`](Self::dirty_cells_since)
-    /// to re-derive only the cells whose neighborhood can have changed.
-    /// Not serialized: like `epoch`, it identifies states within one
-    /// instance's lifetime only.
-    cell_epochs: Vec<u64>,
 }
 
 impl DensityHistogram {
@@ -65,14 +57,12 @@ impl DensityHistogram {
     pub fn new(extent: f64, m: u32, horizon: TimeHorizon, t_start: Timestamp) -> Self {
         let grid = GridSpec::unit_origin(extent, m);
         let counts = vec![0i32; horizon.slot_count() * grid.cell_count()];
-        let cell_epochs = vec![0u64; grid.cell_count()];
         DensityHistogram {
             grid,
             horizon,
             t_base: t_start,
             counts,
             epoch: 0,
-            cell_epochs,
         }
     }
 
@@ -175,32 +165,6 @@ impl DensityHistogram {
                 self.counts[i] += sign;
             }
         }
-        // Dirty-mark the whole in-window tail of the trajectory, not
-        // just the counted range: a refinement index extrapolates the
-        // motion past its counted contribution, so any timestamp a query
-        // can still resolve to must see the touched cell as dirty.
-        // Out-of-grid positions are clamped — they can still influence
-        // boundary-cell refinement through the `l/2` inflation.
-        let mark_to = self.t_base + self.horizon.h();
-        for t in from..=mark_to {
-            let cell = self.grid.locate_clamped(motion.position_at(t));
-            self.cell_epochs[self.grid.linear_index(cell)] = self.epoch;
-        }
-    }
-
-    /// Cells touched by any [`apply`](Self::apply) *after* the epoch
-    /// `since` was observed, in row-major order. Together with
-    /// [`epoch`](Self::epoch) this is the incremental-maintenance
-    /// contract: derived per-cell state built at epoch `since` is still
-    /// valid for every cell *not* returned here (horizon advances recycle
-    /// whole timestamps, never individual cells, so they invalidate
-    /// per-timestamp state but not per-cell refinement geometry).
-    pub fn dirty_cells_since(&self, since: u64) -> impl Iterator<Item = CellId> + '_ {
-        self.cell_epochs
-            .iter()
-            .enumerate()
-            .filter(move |(_, &e)| e > since)
-            .map(|(i, _)| self.grid.cell_of_index(i))
     }
 
     /// Advances the horizon base to `t_new`, recycling (zeroing) the
@@ -297,14 +261,12 @@ impl DensityHistogram {
         for _ in 0..count {
             counts.push(r.get_i32()?);
         }
-        let cell_epochs = vec![0u64; grid.cell_count()];
         Ok(DensityHistogram {
             grid,
             horizon,
             t_base,
             counts,
             epoch: 0,
-            cell_epochs,
         })
     }
 
@@ -510,36 +472,38 @@ mod tests {
         );
     }
 
+    /// The epoch is the only staleness signal derived state (prefix
+    /// sums, classifications, standing-group answers) is keyed on: it
+    /// moves on every counter-changing `apply` and on every advance,
+    /// and stands still otherwise.
     #[test]
-    fn dirty_cells_track_applies_not_advances() {
+    fn epoch_moves_exactly_when_counters_can_change() {
         let mut h = dh();
         let e0 = h.epoch();
-        assert_eq!(h.dirty_cells_since(e0).count(), 0);
         h.apply(&Update::insert(
             ObjectId(1),
             0,
             motion(5.0, 5.0, 0.0, 0.0, 0),
         ));
-        let dirty: Vec<CellId> = h.dirty_cells_since(e0).collect();
-        assert_eq!(dirty, vec![CellId::new(0, 0)]);
-        // A horizon advance invalidates per-timestamp planes (epoch
-        // moves) but dirties no cell.
         let e1 = h.epoch();
+        assert!(e1 > e0, "an in-window apply moves the epoch");
         h.advance_to(1);
-        assert!(h.epoch() > e1);
-        assert_eq!(h.dirty_cells_since(e1).count(), 0);
-        // A trajectory that leaves the grid marks the clamped boundary
-        // cell even though its counts are skipped.
         let e2 = h.epoch();
+        assert!(e2 > e1, "an advance moves the epoch");
+        h.advance_to(1);
+        assert_eq!(h.epoch(), e2, "a zero-step advance is not a mutation");
+        let _ = (h.plane_at(3), h.prefix_sums_at(3), h.total_at(1));
+        assert_eq!(h.epoch(), e2, "reads never move the epoch");
+        // A report whose whole trajectory lies before the window touches
+        // no counter.
+        h.advance_to(20);
+        let e3 = h.epoch();
         h.apply(&Update::insert(
             ObjectId(2),
-            1,
-            motion(95.0, 55.0, 50.0, 0.0, 1),
+            0,
+            motion(50.0, 50.0, 0.0, 0.0, 0),
         ));
-        let dirty: Vec<CellId> = h.dirty_cells_since(e2).collect();
-        assert_eq!(dirty, vec![CellId::new(9, 5)]);
-        // The old mark is still dirty relative to the original epoch.
-        assert_eq!(h.dirty_cells_since(e0).count(), 2);
+        assert_eq!(h.epoch(), e3, "an out-of-window apply is not a mutation");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! A response that would exceed [`MAX_FRAME`] is not sent; the request
 //! is answered `{"ok":false,"error":"frame_too_large","bytes":N,
 //! "max":4194304}` (with its `id` echoed) and the connection stays
-//! open.
+//! open. `poll_deltas` never gets there: an oversize backlog is
+//! reported lost instead (see "Subscriptions").
 //!
 //! | op            | request fields                               | response                                  |
 //! |---------------|----------------------------------------------|-------------------------------------------|
@@ -69,7 +70,9 @@
 //! the connection owning its subscription, bounded by [`SUB_BUF_CAP`]
 //! per connection: on overflow the buffer is dropped and the next
 //! `poll_deltas` reports `"lost":true`, telling the client its replayed
-//! answer is stale and it must resubscribe. A `"degraded":true` delta
+//! answer is stale and it must resubscribe. A backlog too large for one
+//! frame is dropped the same way: that poll answers `"lost":true` with
+//! no deltas. A `"degraded":true` delta
 //! means the same thing (the engine crash-recovered or a shard went
 //! offline mid-maintenance). Closing a connection unregisters its
 //! subscriptions.
@@ -1245,20 +1248,7 @@ fn dispatch_op(
         "promote" => (serve_promote(req, driver, shared), false),
         "subscribe" => (serve_subscribe(req, id, driver, shared), false),
         "unsubscribe" => (serve_unsubscribe(req, id, driver, shared), false),
-        "poll_deltas" => {
-            let mut router = shared.subs.lock().unwrap_or_else(|p| p.into_inner());
-            let buf = router.bufs.entry(id).or_default();
-            let lost = buf.lost;
-            buf.lost = false;
-            let entries = std::mem::take(&mut buf.entries);
-            (
-                format!(
-                    "{{\"ok\":true,\"lost\":{lost},\"deltas\":[{}]}}",
-                    entries.join(",")
-                ),
-                false,
-            )
-        }
+        "poll_deltas" => (poll_deltas(shared, id), false),
         "rebalance" => (serve_rebalance(req, driver), false),
         "metrics" => (metrics_json(driver, shared, cfg), false),
         "shutdown" => ("{\"ok\":true,\"draining\":true}".to_string(), true),
@@ -1271,6 +1261,23 @@ fn dispatch_op(
         ),
         _ => (err_json("unknown op"), false),
     }
+}
+
+/// Handles a `poll_deltas` op: drains the connection's buffered deltas.
+/// A drain too large for one frame is dropped and answered `lost:true`
+/// with no deltas — the contract of a [`SUB_BUF_CAP`] overflow, so the
+/// client resubscribes instead of replaying past a silent gap.
+fn poll_deltas(shared: &NetShared, conn: usize) -> String {
+    let mut router = shared.subs.lock().unwrap_or_else(|p| p.into_inner());
+    let buf = router.bufs.entry(conn).or_default();
+    let mut lost = std::mem::take(&mut buf.lost);
+    let mut deltas = std::mem::take(&mut buf.entries).join(",");
+    // Leaves room for the envelope and an echoed request id.
+    if deltas.len() > MAX_FRAME - 128 {
+        lost = true;
+        deltas.clear();
+    }
+    format!("{{\"ok\":true,\"lost\":{lost},\"deltas\":[{deltas}]}}")
 }
 
 /// Handles a `subscribe` op: registers a standing query on one engine
@@ -2139,6 +2146,63 @@ mod tests {
         assert!(summary.contains("\"connections\":1"), "{summary}");
     }
 
+    /// A delta backlog too large for one frame is answered `lost:true`
+    /// with no deltas, so a client never replays later deltas after a
+    /// silently dropped drain: the loss is reported no later than the
+    /// first poll that carries a later delta.
+    #[test]
+    fn oversize_poll_reports_the_backlog_lost() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(50),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let shared = Arc::clone(&server.shared);
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        c.request("{\"op\":\"metrics\"}").unwrap();
+        {
+            // The only connection is id 0; fill its buffer past the
+            // frame cap while staying under `SUB_BUF_CAP` entries.
+            let mut router = shared.subs.lock().unwrap();
+            router.routes.insert(("fr".into(), 7), 0);
+            let pad = "x".repeat(8 * 1024);
+            let buf = router.bufs.entry(0).or_default();
+            for _ in 0..(MAX_FRAME / pad.len() + 8) {
+                buf.entries
+                    .push(format!("{{\"engine\":\"fr\",\"pad\":\"{pad}\"}}"));
+            }
+            assert!(buf.entries.len() < SUB_BUF_CAP);
+        }
+        let poll = |c: &mut NetClient| {
+            let r = c.request("{\"op\":\"poll_deltas\",\"id\":3}").unwrap();
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+            assert_eq!(r.get("id").and_then(Json::as_u64), Some(3));
+            let Some(Json::Arr(deltas)) = r.get("deltas") else {
+                panic!("deltas must be an array: {r:?}");
+            };
+            (r.get("lost").and_then(Json::as_bool), deltas.len())
+        };
+        assert_eq!(poll(&mut c), (Some(true), 0), "oversize backlog");
+        let later = AnswerDelta {
+            id: SubId(7),
+            now: 1,
+            q_t: 1,
+            added: Vec::new(),
+            removed: Vec::new(),
+            degraded: false,
+            resync: false,
+        };
+        assert_eq!(route_deltas(&shared, vec![("fr".into(), later)]), 1);
+        assert_eq!(poll(&mut c), (Some(false), 1), "later deltas flow again");
+        assert_eq!(poll(&mut c), (Some(false), 0));
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        server.join().unwrap();
+    }
+
     /// Full protocol pass over a real socket: ticks advance the clock,
     /// answers are exact against the ground truth, metrics expose the
     /// executor counters, and shutdown reports zero leaked workers.
@@ -2366,11 +2430,16 @@ mod tests {
     /// The sharded spec both replication endpoints are built from; the
     /// configs must match for shipped answers to be bit-identical.
     fn sharded_spec() -> EngineSpec {
+        sharded_spec_at(40)
+    }
+
+    /// [`sharded_spec`] over an `m × m` histogram grid.
+    fn sharded_spec_at(m: u32) -> EngineSpec {
         EngineSpec::Sharded {
             adaptive: None,
             inner: Box::new(EngineSpec::Fr(FrConfig {
                 extent: 200.0,
-                m: 40,
+                m,
                 horizon: TimeHorizon::new(4, 4),
                 buffer_pages: 64,
                 threads: 1,
@@ -2565,6 +2634,81 @@ mod tests {
             let mut stop = TcpStream::connect(&primary_addr).unwrap();
             write_frame(&mut stop, "{}").unwrap();
             assert_eq!(primary.join().unwrap(), 1, "{error}: one pull, no retries");
+        }
+    }
+
+    /// Replica bootstrap at its scale limit: a bootstrap shipment past
+    /// [`MAX_FRAME`] is refused as a typed `frame_too_large`, by the
+    /// primary to a direct `ship_log` and by the replica's `sync` after
+    /// one pull, and both connections keep serving. An FR checkpoint
+    /// still carries the whole `(H + 1)·m²` histogram, so a fine grid
+    /// over 50 objects is the cheapest way past the cap: m = 150 ships
+    /// 4.33 MB against the 4.19 MB cap, and m = 140 fits. Once
+    /// checkpoints carry motions instead of histograms (ROADMAP item 9)
+    /// the container shrinks by orders of magnitude, and this shape must
+    /// be revisited.
+    #[test]
+    fn oversize_bootstrap_is_refused_typed_on_both_ends() {
+        let mut primary_driver = ServeDriver::new(sim(50), pdr_storage::CostModel::PAPER_DEFAULT)
+            .with_engine("fr", sharded_spec_at(150).build(0));
+        primary_driver.bootstrap();
+        let primary = NetServer::bind(
+            "127.0.0.1:0",
+            primary_driver,
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let primary_addr = primary.local_addr().unwrap().to_string();
+        let primary = std::thread::spawn(move || primary.serve());
+        let replica_driver = ServeDriver::new(sim(50), pdr_storage::CostModel::PAPER_DEFAULT)
+            .with_engine("fr", sharded_spec_at(150).try_build_replica(0).unwrap());
+        let replica = NetServer::bind(
+            "127.0.0.1:0",
+            replica_driver,
+            FaultPolicy::default(),
+            NetServerConfig {
+                replica_of: Some(primary_addr.clone()),
+                ..NetServerConfig::default()
+            },
+        )
+        .unwrap();
+        let replica_addr = replica.local_addr().unwrap().to_string();
+        let replica = std::thread::spawn(move || replica.serve());
+        let mut p = NetClient::connect(&primary_addr).unwrap();
+        let mut r = NetClient::connect(&replica_addr).unwrap();
+
+        let resp = p.request(&ship_log_body(Some("fr"), 0, &[], 0)).unwrap();
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("frame_too_large"),
+            "{resp:?}"
+        );
+        assert!(resp.get("bytes").and_then(Json::as_u64).unwrap() > MAX_FRAME as u64);
+        let resp = r.request("{\"op\":\"sync\"}").unwrap();
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("frame_too_large"),
+            "{resp:?}"
+        );
+        assert_eq!(resp.get("attempts").and_then(Json::as_u64), Some(1));
+
+        for (name, c) in [("primary", &mut p), ("replica", &mut r)] {
+            let resp = c
+                .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
+                .unwrap();
+            assert_eq!(
+                resp.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{name} connection unusable after the refusal: {resp:?}"
+            );
+        }
+        for c in [&mut r, &mut p] {
+            c.request("{\"op\":\"shutdown\"}").unwrap();
+        }
+        for h in [replica, primary] {
+            let summary = h.join().unwrap();
+            assert!(summary.contains("\"leaked_workers\":0"), "{summary}");
         }
     }
 

@@ -1694,7 +1694,8 @@ mod tests {
                 load.label
             );
         }
-        // FR's incremental path reports its dirty-cell counters.
+        // FR reports its maintenance counters: emitted deltas, and the
+        // candidate cells its group evaluations refined (`dirty_cells`).
         let fr = &report.engines[0];
         assert!(
             fr.obs.counter("deltas_emitted").unwrap_or(0) > 0,
