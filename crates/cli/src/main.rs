@@ -621,8 +621,9 @@ fn cmd_serve_replica(o: &Options) -> Result<(), String> {
     // Initial bootstrap straight from the primary, before serving:
     // empty offsets force a checkpoint-carrying shipment. The fetch
     // retries with jittered backoff; a primary that stays unreachable
-    // is *not* fatal — the replica serves empty until a `sync` op
-    // succeeds, which re-bootstraps it once the primary returns.
+    // is *not* fatal — the replica answers queries with the typed
+    // `not_synced` error until a `sync` op succeeds, which
+    // re-bootstraps it once the primary returns.
     let policy = FaultPolicy::default();
     let mut rng = SeededRng::new(policy.seed);
     let mut last_err = String::new();
@@ -656,7 +657,7 @@ fn cmd_serve_replica(o: &Options) -> Result<(), String> {
     }
     if !bootstrapped {
         eprintln!(
-            "# bootstrap deferred ({last_err}); serving empty until a sync reaches {primary}"
+            "# bootstrap deferred ({last_err}); answering not_synced until a sync reaches {primary}"
         );
     }
     serve_tcp(o, driver, addr)

@@ -38,9 +38,10 @@ use crate::{
 use pdr_geometry::{GridSpec, Rect, RegionSet};
 use pdr_histogram::DensityHistogram;
 use pdr_mobject::{
-    screen_batch, MotionState, ObjectId, ObjectTable, TimeHorizon, Timestamp, Update,
+    screen_batch, MotionState, ObjectId, ObjectTable, Timestamp, Update, UpdateKind,
 };
 use pdr_storage::{CostModel, FaultPlan, FaultStats, IoStats, StorageError};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// One engine's answer to a PDR query, in units every method shares.
@@ -108,15 +109,52 @@ pub trait DensityEngine: Send + Sync {
     /// Short stable name for tables and logs (`"fr"`, `"pa"`, …).
     fn name(&self) -> &'static str;
 
-    /// Loads an initial population into an empty engine. The default
-    /// turns the population into insertion updates; engines with packed
-    /// loaders override it.
+    /// Loads live reports into an empty engine — the one way engine
+    /// state is built from reports (initial loads, restores, new shard
+    /// leaves). Contract: the result equals the state at `t_now` of a
+    /// protocol feed that inserted each report at its own `t_ref` (so
+    /// it counts over `[t_ref, t_ref + H]`, clipped to the horizon at
+    /// `t_now`), and the engine stands at `t_now` afterwards. Reports
+    /// keep their motion bits; none is re-anchored to `t_now`.
+    ///
+    /// The default replays that feed: reports grouped by `t_ref`, each
+    /// group applied as literal inserts after an `advance_to(t_ref)`,
+    /// then `advance_to(t_now)`. FR overrides it with a packed loader.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a report's `t_ref` is after `t_now`, or (default
+    /// only) before the engine's [`horizon_base`](Self::horizon_base),
+    /// which a freshly built engine never is.
     fn bulk_load(&mut self, objects: &[(ObjectId, MotionState)], t_now: Timestamp) {
-        let updates: Vec<Update> = objects
-            .iter()
-            .map(|(id, m)| Update::insert(*id, t_now, *m))
-            .collect();
-        self.apply_batch(&updates);
+        let base = self.horizon_base().unwrap_or(0);
+        assert!(
+            objects.iter().all(|(_, m)| (base..=t_now).contains(&m.t_ref)),
+            "bulk_load contract: every report's t_ref must lie in [engine base {base}, t_now {t_now}]"
+        );
+        let mut feed: BTreeMap<Timestamp, Vec<Update>> = BTreeMap::new();
+        for &(id, motion) in objects {
+            feed.entry(motion.t_ref).or_default().push(Update {
+                id,
+                t_now: motion.t_ref,
+                kind: UpdateKind::Insert { motion },
+            });
+        }
+        for (&t, batch) in &feed {
+            self.advance_to(t);
+            self.apply_batch(batch);
+        }
+        self.advance_to(t_now);
+    }
+
+    /// The base of the engine's time horizon, which
+    /// [`advance_to`](Self::advance_to) moves and every applied update
+    /// must be stamped with; the default [`bulk_load`](Self::bulk_load)
+    /// checks its contract against it. Engines that keep that default
+    /// and have a horizon report it; the default `None` suits engines
+    /// that extrapolate on demand and accept any order of time.
+    fn horizon_base(&self) -> Option<Timestamp> {
+        None
     }
 
     /// Applies one tick's protocol updates, in order.
@@ -304,10 +342,10 @@ pub trait DensityEngine: Send + Sync {
 /// ascending order, so one forward cursor suffices).
 fn apply_screened(
     updates: &[Update],
-    window: Option<(Timestamp, TimeHorizon)>,
+    base: Option<Timestamp>,
     mut apply: impl FnMut(&Update),
 ) -> u64 {
-    let rejected = screen_batch(updates, window);
+    let rejected = screen_batch(updates, base);
     let mut next = 0usize;
     for (i, u) in updates.iter().enumerate() {
         if next < rejected.len() && rejected[next].0 == i {
@@ -329,8 +367,8 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
-        let window = Some((self.histogram().t_base(), self.config().horizon));
-        let rejects = apply_screened(updates, window, |u| self.apply(u));
+        let base = Some(self.histogram().t_base());
+        let rejects = apply_screened(updates, base, |u| self.apply(u));
         self.note_rejected(rejects);
     }
 
@@ -422,13 +460,17 @@ impl DensityEngine for PaEngine {
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
-        let window = Some((self.t_base(), self.config().horizon));
-        let rejects = apply_screened(updates, window, |u| self.apply(u));
+        let base = Some(self.t_base());
+        let rejects = apply_screened(updates, base, |u| self.apply(u));
         self.note_rejected(rejects);
     }
 
     fn advance_to(&mut self, t_now: Timestamp) {
         PaEngine::advance_to(self, t_now);
+    }
+
+    fn horizon_base(&self) -> Option<Timestamp> {
+        Some(self.t_base())
     }
 
     /// Answers for the engine's *configured* `l` (the PA surface is
@@ -756,11 +798,11 @@ impl DensityEngine for DhEngine {
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
-        let window = Some((self.histogram.t_base(), self.histogram.horizon()));
+        let base = Some(self.histogram.t_base());
         let histogram = &mut self.histogram;
         let mut applied = 0u64;
         let mut live = 0i64;
-        self.rejected_updates += apply_screened(updates, window, |u| {
+        self.rejected_updates += apply_screened(updates, base, |u| {
             applied += 1;
             live += u.sign();
             histogram.apply(u);
@@ -771,6 +813,10 @@ impl DensityEngine for DhEngine {
 
     fn advance_to(&mut self, t_now: Timestamp) {
         self.histogram.advance_to(t_now);
+    }
+
+    fn horizon_base(&self) -> Option<Timestamp> {
+        Some(self.histogram.t_base())
     }
 
     fn query(&self, q: &PdrQuery) -> EngineAnswer {

@@ -12,7 +12,7 @@ use pdr_geometry::{CellId, GridSpec, Point, Rect, RegionSet};
 use pdr_histogram::{DensityHistogram, PrefixSum2d};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Timestamp, Update, UpdateKind};
 use pdr_storage::{
-    ByteReader, ByteWriter, CostModel, FaultPlan, FaultStats, IoStats, StorageError,
+    ByteReader, ByteWriter, CodecError, CostModel, FaultPlan, FaultStats, IoStats, StorageError,
 };
 use pdr_tprtree::{TprConfig, TprTree};
 use std::collections::HashMap;
@@ -207,10 +207,11 @@ impl FrObs {
 /// [`missed_deletes`](FrEngine::missed_deletes) never stops).
 const MISSED_DELETE_LOG_LIMIT: u64 = 8;
 
-/// Layout version of an `FRCK` checkpoint (columnar motion table); a
-/// container of any other version is refused as
-/// [`RecoverError::Unsupported`].
-const FRCK_VERSION: u16 = 2;
+/// Layout version of an `FRCK` checkpoint (the grid and horizon it was
+/// taken under, anchors, counters and the columnar motion table, no
+/// histogram); a container of any other
+/// version is refused as [`RecoverError::Unsupported`].
+const FRCK_VERSION: u16 = 3;
 
 /// The exact PDR query engine: density histogram for filtering, a
 /// pluggable [`RangeIndex`] (TPR-tree by default) plus plane sweep for
@@ -294,53 +295,6 @@ impl<I: RangeIndex> FrEngine<I> {
         }
     }
 
-    /// Restores an engine from a checkpointed histogram plus the
-    /// current motion table: the histogram (which would otherwise take
-    /// up to `U + W` timestamps to refill) comes from
-    /// [`DensityHistogram::serialize`], while the refinement index is
-    /// rebuilt from the live motions — the standard restart recipe,
-    /// since indexes rebuild in one bulk load but horizon counters
-    /// cannot be reconstructed without replaying history.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the histogram's geometry or horizon disagrees with
-    /// `cfg`, or when `index` is not empty.
-    pub fn restore(
-        cfg: FrConfig,
-        histogram: DensityHistogram,
-        mut index: I,
-        objects: &[(ObjectId, MotionState)],
-    ) -> Self {
-        assert!(index.is_empty(), "refinement index must start empty");
-        assert_eq!(
-            histogram.grid().cells_per_side(),
-            cfg.m,
-            "histogram grid disagrees with config"
-        );
-        assert_eq!(
-            histogram.horizon(),
-            cfg.horizon,
-            "histogram horizon disagrees with config"
-        );
-        let t_now = histogram.t_base();
-        index.load(objects, t_now);
-        FrEngine {
-            cfg,
-            histogram,
-            tree: Arc::new(index),
-            motions: objects.iter().copied().collect(),
-            t_start: t_now,
-            cache: RwLock::new(ClassificationCache::new()),
-            updates_applied: 0,
-            missed_deletes: 0,
-            rejected_updates: 0,
-            obs: Arc::new(FrObs::on()),
-            subs: SubscriptionTable::new(),
-            memo: GroupMemo::default(),
-        }
-    }
-
     /// Snapshot of the engine's instrumentation (stage latencies, cell
     /// accounting). The `queries` counter always runs; every other
     /// value stays zero while observability is disabled.
@@ -395,49 +349,74 @@ impl<I: RangeIndex> FrEngine<I> {
         self.tree.is_empty()
     }
 
-    /// Loads an initial population in bulk (histogram via protocol
-    /// inserts, tree via STR packing). The engine must be empty.
+    /// Loads live reports into an empty engine, keeping the
+    /// [`DensityEngine::bulk_load`] contract: the histogram advances to
+    /// `t_now` and takes each report as a literal insert at its own
+    /// `t_ref`, which [`DensityHistogram::apply`] clips to
+    /// `[max(t_ref, t_now), t_ref + H]`; the index is STR-packed from
+    /// the same unrebased motions. Restores rebuild through this path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the engine is not empty, `t_now` precedes the
+    /// histogram's base, or a report's `t_ref` is after `t_now`.
     pub fn bulk_load(&mut self, objects: &[(ObjectId, MotionState)], t_now: Timestamp) {
         assert!(self.is_empty(), "bulk_load requires an empty engine");
-        for (id, m) in objects {
-            self.histogram.apply(&Update::insert(*id, t_now, *m));
+        assert!(
+            objects.iter().all(|(_, m)| m.t_ref <= t_now),
+            "bulk_load contract: every report's t_ref must be at or before t_now {t_now}"
+        );
+        self.histogram.advance_to(t_now);
+        for &(id, motion) in objects {
+            self.histogram.apply(&Update {
+                id,
+                t_now: motion.t_ref,
+                kind: UpdateKind::Insert { motion },
+            });
             // Store exactly what the index receives (the *unrebased*
             // motion), so a restore rebuilds bit-identical leaf entries.
-            self.motions.insert(*id, *m);
+            self.motions.insert(id, motion);
         }
         self.tree_mut().load(objects, t_now);
         self.updates_applied += objects.len() as u64;
     }
 
-    /// Applies one protocol update to both structures.
+    /// Applies one protocol update to both structures, unscreened: the
+    /// [`DensityEngine::apply_batch`] path first refuses what
+    /// [`pdr_mobject::screen_batch`] rejects (an update not stamped
+    /// with the histogram's base, an insertion whose report is not
+    /// from its arrival), which is what keeps the histogram the
+    /// function of the motion table that a restore rebuilds.
     ///
     /// A deletion whose object is missing from the refinement index is
-    /// a tree-vs-histogram desync anomaly. It is *counted* (see
+    /// an update-protocol anomaly (say, the retraction of a report that
+    /// screening rejected). It is *counted* (see
     /// [`missed_deletes`](Self::missed_deletes) and `EngineStats`) and
-    /// logged for the first few occurrences, never silently dropped —
-    /// release builds previously lost the signal entirely behind a
-    /// `debug_assert!`.
+    /// logged for the first few occurrences, and it touches neither
+    /// structure: subtracting a trajectory the histogram never held
+    /// would leave negative counters that no live report explains.
     pub fn apply(&mut self, update: &Update) {
         self.updates_applied += 1;
-        self.histogram.apply(update);
         match update.kind {
             UpdateKind::Insert { motion } => {
+                self.histogram.apply(update);
                 self.motions.insert(update.id, motion);
                 self.tree_mut().insert(update.id, &motion, update.t_now)
             }
             UpdateKind::Delete { .. } => {
-                self.motions.remove(&update.id);
-                let removed = self.tree_mut().remove(update.id);
-                if !removed {
+                if !self.tree_mut().remove(update.id) {
                     self.missed_deletes += 1;
                     if self.missed_deletes <= MISSED_DELETE_LOG_LIMIT {
                         eprintln!(
                             "pdr-core[fr]: anomaly #{}: delete of unindexed object {:?} at t={} \
-                             (histogram and refinement index may now disagree)",
+                             (ignored)",
                             self.missed_deletes, update.id, update.t_now
                         );
                     }
+                    return;
                 }
+                self.histogram.apply(update);
+                self.motions.remove(&update.id);
             }
         }
     }
@@ -448,10 +427,9 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 
     /// Deletions that did not find their object in the refinement index
-    /// (cumulative). Nonzero values indicate an update-protocol
-    /// violation upstream; the histogram side of such a delete was
-    /// still applied, so answers may under-count until the motion ages
-    /// out of the horizon.
+    /// (cumulative; a restore keeps the count). Nonzero values indicate
+    /// an update-protocol violation upstream; such deletes are not
+    /// applied (see [`apply`](Self::apply)).
     pub fn missed_deletes(&self) -> u64 {
         self.missed_deletes
     }
@@ -679,16 +657,25 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 
     /// Serializes the engine's durable state into a sealed, checksummed
-    /// checkpoint: the density histogram, the horizon anchor, the
-    /// update counters, and the motion table *exactly as the index
-    /// received it* (unrebased reports), so
-    /// [`restore_from_bytes`](FrEngine::restore_from_bytes) rebuilds
-    /// bit-identical leaf entries and therefore bit-identical answers.
+    /// checkpoint: the grid (`L`, `m`) and horizon (`U`, `W`) it was
+    /// taken under, the index anchor `t_start`, the horizon base
+    /// `t_base`, the update counters, and the motion table *exactly as
+    /// the index received it* (unrebased reports). No histogram: for
+    /// every update that screening accepts it is a function of the
+    /// live reports, and
+    /// [`restore_from_bytes`](FrEngine::restore_from_bytes) rebuilds it
+    /// from them, so the checkpoint grows with the population, not with
+    /// `m²·H`.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(b"FRCK");
         w.put_u16(FRCK_VERSION);
+        w.put_f64(self.cfg.extent);
+        w.put_u32(self.cfg.m);
+        w.put_u64(self.cfg.horizon.max_update_time());
+        w.put_u64(self.cfg.horizon.prediction_window());
         w.put_u64(self.t_start);
+        w.put_u64(self.histogram.t_base());
         w.put_u64(self.updates_applied);
         w.put_u64(self.missed_deletes);
         w.put_u64(self.rejected_updates);
@@ -696,19 +683,22 @@ impl<I: RangeIndex> FrEngine<I> {
             self.motions.iter().map(|(id, m)| (id.0, *m)).collect();
         motions.sort_unstable_by_key(|(id, _)| *id);
         crate::colcodec::put_motion_table(&mut w, &motions);
-        // Histogram bytes go last: they are self-delimiting via their
-        // own header, so the reader just hands over the remainder.
-        w.put_bytes(&self.histogram.serialize());
         seal_checkpoint(&w.into_bytes())
     }
 
-    /// Restores the engine in place from [`checkpoint_bytes`]
-    /// (FrEngine::checkpoint_bytes) output: the histogram is swapped
-    /// in, the refinement index is reset onto a *fresh* simulated
-    /// device (discarding any fault plan along with the failed one) and
-    /// re-loaded from the checkpointed motion table, and the
-    /// classification cache is dropped. Afterwards every query answer
-    /// is bit-identical to the pre-crash engine's.
+    /// Restores the engine in place from
+    /// [`checkpoint_bytes`](FrEngine::checkpoint_bytes) output through
+    /// the bulk-load path: the histogram restarts empty at `t_start`,
+    /// the refinement index is reset onto a *fresh* simulated device
+    /// (discarding any fault plan along with the failed one), and
+    /// [`bulk_load`](FrEngine::bulk_load) re-deposits the checkpointed
+    /// motions at `t_base`. A checkpoint taken under another grid or
+    /// horizon is refused as [`RecoverError::Mismatch`]. The counters
+    /// are taken from the checkpoint, `missed_deletes` included, and
+    /// the classification cache is dropped. Every query answer is then
+    /// bit-identical to the pre-crash engine's. The histogram is rebuilt, not copied, so a
+    /// drift from the motion table (a delete whose old motion differs
+    /// from the stored report) does not survive a restore.
     pub fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<(), RecoverError> {
         let payload = open_checkpoint(bytes)?;
         let mut r = ByteReader::new(payload);
@@ -716,7 +706,25 @@ impl<I: RangeIndex> FrEngine<I> {
         if r.get_u16()? != FRCK_VERSION {
             return Err(RecoverError::Unsupported);
         }
+        // The histogram is rebuilt on this engine's grid and horizon,
+        // so a checkpoint taken under any other would answer differently.
+        if r.get_f64()?.to_bits() != self.cfg.extent.to_bits() || r.get_u32()? != self.cfg.m {
+            return Err(RecoverError::Mismatch(
+                "checkpoint grid disagrees with config",
+            ));
+        }
+        let horizon = self.cfg.horizon;
+        if r.get_u64()? != horizon.max_update_time() || r.get_u64()? != horizon.prediction_window()
+        {
+            return Err(RecoverError::Mismatch(
+                "checkpoint horizon disagrees with config",
+            ));
+        }
         let t_start = r.get_u64()?;
+        let t_base = r.get_u64()?;
+        if t_base < t_start {
+            return Err(CodecError::Corrupt("horizon base precedes the index anchor").into());
+        }
         let updates_applied = r.get_u64()?;
         let missed_deletes = r.get_u64()?;
         let rejected_updates = r.get_u64()?;
@@ -731,32 +739,26 @@ impl<I: RangeIndex> FrEngine<I> {
                     .map_err(|_| RecoverError::Mismatch("non-finite motion in checkpoint"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let hist_bytes = &payload[payload.len() - r.remaining()..];
-        let histogram = DensityHistogram::deserialize(hist_bytes)?;
-        if histogram.grid().cells_per_side() != self.cfg.m {
-            return Err(RecoverError::Mismatch(
-                "histogram grid disagrees with config",
-            ));
+        if r.remaining() != 0 {
+            return Err(CodecError::Corrupt("trailing bytes after the motion table").into());
         }
-        if histogram.horizon() != self.cfg.horizon {
-            return Err(RecoverError::Mismatch(
-                "histogram horizon disagrees with config",
-            ));
+        if motions.iter().any(|(_, m)| m.t_ref > t_base) {
+            return Err(CodecError::Corrupt("report from after the checkpoint's base").into());
         }
-        let tree = self.tree_mut();
-        tree.reset(t_start);
-        tree.load(&motions, histogram.t_base());
-        self.histogram = histogram;
-        self.motions = motions.into_iter().collect();
+        self.histogram =
+            DensityHistogram::new(self.cfg.extent, self.cfg.m, self.cfg.horizon, t_start);
+        self.tree_mut().reset(t_start);
+        self.motions.clear();
         self.t_start = t_start;
+        self.bulk_load(&motions, t_base);
         self.updates_applied = updates_applied;
         self.missed_deletes = missed_deletes;
         self.rejected_updates = rejected_updates;
         self.cache = RwLock::new(ClassificationCache::new());
-        // The restored histogram restarts its epoch at zero, so stored
-        // group answers are meaningless; subscriptions themselves
-        // survive (the next maintenance recomputes and emits exact
-        // catch-up deltas against their preserved answers).
+        // The rebuilt histogram restarts its epoch, so stored group
+        // answers are meaningless; subscriptions themselves survive
+        // (the next maintenance recomputes and emits exact catch-up
+        // deltas against their preserved answers).
         self.memo.clear();
         Ok(())
     }
@@ -1037,48 +1039,119 @@ mod tests {
         let mut fr = FrEngine::new(cfg(), 0);
         fr.bulk_load(&pop, 0);
         fr.advance_to(2);
-        let q = PdrQuery::new(0.05, 20.0, 4);
+        let mut table = pop;
+        for (id, m) in table.iter_mut().take(60) {
+            let moved = MotionState::new(m.position_at(2), Point::new(-m.velocity.y, 0.5), 2);
+            fr.apply(&Update::delete(*id, 2, *m));
+            fr.apply(&Update::insert(*id, 2, moved));
+            *m = moved;
+        }
+        fr.advance_to(3);
+        let q = PdrQuery::new(0.05, 20.0, 5);
         let before = fr.query(&q).regions;
 
-        // Simulated restart: checkpoint the histogram, rebuild the
-        // index from the motion table.
-        let bytes = fr.histogram().serialize();
-        let restored_hist = DensityHistogram::deserialize(&bytes).unwrap();
-        let fresh_tree = TprTree::new(
-            TprConfig {
-                buffer_pages: 64,
-                min_fill_ratio: 0.4,
-                horizon: cfg().horizon.h() as f64,
-                integral_metrics: true,
-            },
-            0,
-        );
-        let restored = FrEngine::restore(cfg(), restored_hist, fresh_tree, &pop);
-        let after = restored.query(&q).regions;
-        assert!(
-            before.symmetric_difference_area(&after) < 1e-9,
-            "restored engine answers differ"
-        );
+        // Simulated restart: a fresh engine rebuilds the histogram from
+        // the checkpointed motions, slot for slot.
+        let mut restored = FrEngine::new(cfg(), 0);
+        restored.restore_from_bytes(&fr.checkpoint_bytes()).unwrap();
+        assert_eq!(restored.histogram().t_base(), 3);
+        for t in 3..=9u64 {
+            assert_eq!(
+                restored.histogram().plane_at(t),
+                fr.histogram().plane_at(t),
+                "t={t}"
+            );
+        }
+        assert_eq!(restored.updates_applied(), fr.updates_applied());
+        assert_eq!(restored.query(&q).regions.rects(), before.rects());
     }
 
-    /// Only the columnar layout restores: a container stamped with
-    /// the retired row-major version 1 is refused, never misread.
+    /// Only the motions-only layout restores: a container stamped with
+    /// the retired histogram-carrying version 2 is refused, never
+    /// misread.
     #[test]
-    fn v1_checkpoint_is_refused_unsupported() {
+    fn v2_checkpoint_is_refused_unsupported() {
         let pop = clustered_population(250, 43);
         let mut fr = FrEngine::new(cfg(), 0);
         fr.bulk_load(&pop, 0);
         let mut payload = open_checkpoint(&fr.checkpoint_bytes())
             .expect("verifies")
             .to_vec();
-        payload[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let v1 = seal_checkpoint(&payload);
+        payload[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let v2 = seal_checkpoint(&payload);
 
         let mut restored = FrEngine::new(cfg(), 0);
         assert_eq!(
-            restored.restore_from_bytes(&v1).unwrap_err(),
+            restored.restore_from_bytes(&v2).unwrap_err(),
             RecoverError::Unsupported
         );
+    }
+
+    /// The histogram is rebuilt on the restoring engine's grid and
+    /// horizon, so a checkpoint taken under another one is refused
+    /// rather than answered from differently shaped counts.
+    #[test]
+    fn checkpoint_from_another_grid_or_horizon_is_refused() {
+        let with = |m: u32, horizon: TimeHorizon| FrConfig {
+            m,
+            horizon,
+            ..cfg()
+        };
+        let mut fr = FrEngine::new(with(10, cfg().horizon), 0);
+        fr.bulk_load(&clustered_population(100, 53), 0);
+        let bytes = fr.checkpoint_bytes();
+
+        let mut finer = FrEngine::new(with(12, cfg().horizon), 0);
+        assert_eq!(
+            finer.restore_from_bytes(&bytes).unwrap_err(),
+            RecoverError::Mismatch("checkpoint grid disagrees with config")
+        );
+        assert!(finer.is_empty(), "a refused restore left state behind");
+        let mut longer = FrEngine::new(with(10, TimeHorizon::new(3, 4)), 0);
+        assert_eq!(
+            longer.restore_from_bytes(&bytes).unwrap_err(),
+            RecoverError::Mismatch("checkpoint horizon disagrees with config")
+        );
+        let mut wider = FrEngine::new(
+            FrConfig {
+                extent: 210.0,
+                ..with(10, cfg().horizon)
+            },
+            0,
+        );
+        assert_eq!(
+            wider.restore_from_bytes(&bytes).unwrap_err(),
+            RecoverError::Mismatch("checkpoint grid disagrees with config")
+        );
+        let mut same = FrEngine::new(with(10, cfg().horizon), 0);
+        same.restore_from_bytes(&bytes)
+            .expect("same config restores");
+        assert_eq!(same.len(), 100);
+    }
+
+    /// A missed delete touches neither structure, so the histogram
+    /// stays the function of the motion table that a restore rebuilds;
+    /// the anomaly count survives the restore.
+    #[test]
+    fn missed_delete_leaves_no_drift_and_its_count_survives_restore() {
+        let pop = clustered_population(200, 47);
+        let mut fr = FrEngine::new(cfg(), 0);
+        fr.bulk_load(&pop, 0);
+        let planes = |e: &FrEngine| {
+            (0..=6u64)
+                .map(|t| e.histogram().plane_at(t).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let before = planes(&fr);
+        let ghost = MotionState::stationary(Point::new(150.0, 150.0), 0);
+        fr.apply(&Update::delete(ObjectId(999_999), 0, ghost));
+        assert_eq!(fr.missed_deletes(), 1);
+        assert_eq!(planes(&fr), before, "a missed delete changed the histogram");
+
+        let mut restored = FrEngine::new(cfg(), 0);
+        restored.restore_from_bytes(&fr.checkpoint_bytes()).unwrap();
+        assert_eq!(restored.missed_deletes(), 1);
+        assert_eq!(planes(&restored), before);
     }
 
     #[test]

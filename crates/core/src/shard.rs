@@ -34,9 +34,10 @@
 //!     stays broken is stickily degraded and serves its sub-domain with
 //!     the inner engine's filter-only answer while every other shard
 //!     keeps serving exactly;
-//!   - a split or merge builds every new leaf one way — re-inserting
-//!     the router's live reports whose bbox meets the leaf's ingest
-//!     region — and seats it through one cutover.
+//!   - a split or merge builds every new leaf one way — a fresh
+//!     engine bulk-loaded with the router's live reports whose bbox
+//!     meets the leaf's ingest region — and seats it through one
+//!     cutover.
 //!
 //! # Exactness invariant
 //!
@@ -65,8 +66,8 @@ use crate::wal::{
 use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::{screen_batch, MotionState, ObjectId, TimeHorizon, Timestamp, Update};
-use pdr_storage::{crc32, ByteReader, ByteWriter, FaultPlan, FaultStats, IoStats, StorageError};
-use std::collections::{BTreeMap, HashMap};
+use pdr_storage::{ByteReader, ByteWriter, FaultPlan, FaultStats, IoStats, StorageError};
+use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -482,7 +483,7 @@ pub struct RebalanceReport {
     pub retired: Vec<u32>,
     /// Stable ids of the shards created by the cutover.
     pub created: Vec<u32>,
-    /// Live reports re-inserted into the new leaves from the router
+    /// Live reports bulk-loaded into the new leaves from the router
     /// table (the field keeps its wire name).
     pub records_replayed: u64,
     /// Leaf count after the cutover.
@@ -946,7 +947,9 @@ impl ShardedEngine {
     /// Composes per-shard checkpoint payloads into one sealed
     /// container: a magic tag, the partition, the router's live-object
     /// table (the columnar motion table FR checkpoints use), then per
-    /// leaf `[len u64][crc u32][bytes]` in leaf order.
+    /// leaf `[len u64][bytes]` in leaf order. Each leaf payload is
+    /// sealed on its own and the container seals the whole, so no
+    /// per-leaf checksum is added.
     /// Embedding the partition is what lets a restore (or a replica
     /// bootstrap) adopt the sender's topology instead of refusing it.
     fn compose_checkpoint(&self, parts: &[Arc<Vec<u8>>]) -> Vec<u8> {
@@ -961,7 +964,6 @@ impl ShardedEngine {
         w.put_u32(parts.len() as u32);
         for cp in parts {
             w.put_u64(cp.len() as u64);
-            w.put_u32(crc32(cp));
             w.put_bytes(cp);
         }
         seal_checkpoint(w.as_slice())
@@ -1242,18 +1244,17 @@ impl ShardedEngine {
     }
 
     /// Builds a fresh engine for post-change slot `slot` from the
-    /// router's live table: every live object (taken in `ids` order)
-    /// whose `t_ref → t_ref + H` routing bbox meets `ingest` — the
-    /// region cut from the post-change partition itself, so the seed
-    /// agrees bitwise with how routing will deliver from now on — is
-    /// re-inserted with its original motion bits **at its original
-    /// report time**. The seed is grouped by `t_ref` and applied in time
-    /// order with an `advance_to` between groups, then advanced to
-    /// `t_base`. This reproduces bit for bit the state a long-running
-    /// engine holds for those motions (an insert deposits over
-    /// `[t_now, t_now+H]`, so re-inserting "now" would smear density
-    /// onto slots past `t_ref + H`). Returns the engine and the number
-    /// of reports re-inserted.
+    /// router's live table: `builder(slot)` followed by one
+    /// [`bulk_load`](DensityEngine::bulk_load) at `t_base` of every live
+    /// report (taken in `ids` order) whose `t_ref → t_ref + H` routing
+    /// bbox meets `ingest` — the region cut from the post-change
+    /// partition itself, so the seed agrees bitwise with how routing
+    /// will deliver from now on. The bulk-load contract (each report
+    /// counts from its own `t_ref`, with its motion bits untouched)
+    /// reproduces bit for bit the state a long-running engine holds for
+    /// those motions. Inner engines on the trait default need the fresh
+    /// engine's base (the plane's `t_start`) ≤ every seeded `t_ref`.
+    /// Returns the engine and the number of reports seeded.
     fn seed_leaf(
         &mut self,
         ids: &[u64],
@@ -1261,31 +1262,17 @@ impl ShardedEngine {
         slot: usize,
     ) -> (Box<dyn DensityEngine>, u64) {
         let h = self.horizon.h();
-        let mut seed: BTreeMap<Timestamp, Vec<Update>> = BTreeMap::new();
-        for &id in ids {
-            let m = self.router_table[&id];
-            let bbox = Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h));
-            if bbox.intersects(&ingest) {
-                seed.entry(m.t_ref).or_default().push(Update {
-                    id: ObjectId(id),
-                    t_now: m.t_ref,
-                    // Construct the literal (not `Update::insert`) so
-                    // the motion keeps its original `t_ref` and bits —
-                    // re-anchoring would recompute positions and could
-                    // flip a cell assignment at an exact boundary.
-                    kind: pdr_mobject::UpdateKind::Insert { motion: m },
-                });
-            }
-        }
+        let seed: Vec<(ObjectId, MotionState)> = ids
+            .iter()
+            .map(|&id| (ObjectId(id), self.router_table[&id]))
+            .filter(|(_, m)| {
+                Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h))
+                    .intersects(&ingest)
+            })
+            .collect();
         let mut engine = (self.builder)(slot);
-        let mut seeded = 0;
-        for (t, batch) in &seed {
-            engine.advance_to(*t);
-            engine.apply_batch(batch);
-            seeded += batch.len() as u64;
-        }
-        engine.advance_to(self.t_base);
-        (engine, seeded)
+        engine.bulk_load(&seed, self.t_base);
+        (engine, seed.len() as u64)
     }
 
     /// The one cutover: installs `post` as the partition, retires the
@@ -1522,6 +1509,7 @@ impl DensityEngine for ShardedEngine {
         }
         self.recount_owned();
         self.updates_applied += objects.len() as u64;
+        self.t_base = t_now;
         let plane = Arc::clone(&self.plane);
         let per_shard = Arc::new(per_shard);
         self.fan_out(move |i| {
@@ -1545,7 +1533,7 @@ impl DensityEngine for ShardedEngine {
         // accepted traffic. One pass computes each update's complete
         // target set, so re-routing at a cut crossing never duplicates
         // a delivery within a shard.
-        let rejected = screen_batch(updates, Some((self.t_base, self.horizon)));
+        let rejected = screen_batch(updates, Some(self.t_base));
         self.rejected_updates += rejected.len() as u64;
         let mut per_shard: Vec<Vec<Update>> =
             (0..self.plane.shards.len()).map(|_| Vec::new()).collect();
@@ -1652,14 +1640,7 @@ impl DensityEngine for ShardedEngine {
         let mut parts = Vec::with_capacity(n);
         for _ in 0..n {
             let len = r.get_u64()? as usize;
-            let crc = r.get_u32()?;
-            let cp = r.get_bytes(len)?;
-            if crc32(cp) != crc {
-                return Err(RecoverError::Codec(pdr_storage::CodecError::Corrupt(
-                    "per-shard checkpoint checksum mismatch",
-                )));
-            }
-            parts.push(cp);
+            parts.push(r.get_bytes(len)?);
         }
         // Adopt the checkpoint's topology. When the leaf set differs
         // from the current plane's — a replica bootstrapping across a

@@ -424,8 +424,14 @@ fn stale_epoch_shipment_is_fenced_with_typed_error() {
 
     // A write lands on the new lineage; the follower syncs from it and
     // thereby learns the new epoch.
+    promoted.advance_to(3);
     let batch = random_batch(&mut rng, &mut shadow, 3);
     promoted.apply_batch(&batch);
+    assert_eq!(
+        promoted.stats().rejected_updates,
+        0,
+        "the write was refused"
+    );
     sync_from(promoted.as_ref(), replica.as_mut(), "post-promotion");
     let rep = replica.as_replica().expect("replica surface");
     assert_eq!(rep.repl_epoch(), epoch, "follower carries the new epoch");

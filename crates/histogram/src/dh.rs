@@ -69,9 +69,9 @@ impl DensityHistogram {
     /// The histogram's mutation epoch. Any two calls returning the same
     /// value bracket a span in which no counter changed, so snapshots
     /// derived from the planes (prefix sums, cell classifications) can
-    /// be cached keyed on `(t, epoch)`. Restored histograms restart at
-    /// epoch 0 — the epoch identifies states *within* one instance's
-    /// lifetime, not across checkpoints.
+    /// be cached keyed on `(t, epoch)`. The epoch identifies states
+    /// *within* one instance's lifetime: a histogram rebuilt by a
+    /// restore starts its own count.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -207,67 +207,6 @@ impl DensityHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             assert!(c >= 0, "negative counter {c} at flat index {i}");
         }
-    }
-
-    /// Serializes the histogram into a versioned checkpoint, so a
-    /// restarting server resumes with full horizon coverage instead of
-    /// waiting up to `U + W` timestamps to refill its windows.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut w = pdr_storage::ByteWriter::with_capacity(32 + 4 * self.counts.len());
-        w.put_bytes(b"PDRH");
-        w.put_u16(1); // version
-        w.put_f64(self.grid.bounds().width());
-        w.put_u32(self.grid.cells_per_side());
-        w.put_u64(self.horizon.max_update_time());
-        w.put_u64(self.horizon.prediction_window());
-        w.put_u64(self.t_base);
-        w.put_u64(self.counts.len() as u64);
-        for &c in &self.counts {
-            w.put_i32(c);
-        }
-        w.into_bytes()
-    }
-
-    /// Restores a histogram from [`serialize`](Self::serialize) output.
-    pub fn deserialize(bytes: &[u8]) -> Result<Self, pdr_storage::CodecError> {
-        use pdr_storage::CodecError;
-        let mut r = pdr_storage::ByteReader::new(bytes);
-        r.expect_magic(b"PDRH")?;
-        let version = r.get_u16()?;
-        if version != 1 {
-            return Err(CodecError::BadVersion(version));
-        }
-        let extent = r.get_f64()?;
-        if !(extent.is_finite() && extent > 0.0) {
-            return Err(CodecError::Corrupt("extent"));
-        }
-        let m = r.get_u32()?;
-        if m == 0 {
-            return Err(CodecError::Corrupt("grid size"));
-        }
-        let u = r.get_u64()?;
-        let wnd = r.get_u64()?;
-        if u + wnd == 0 {
-            return Err(CodecError::Corrupt("horizon"));
-        }
-        let horizon = TimeHorizon::new(u, wnd);
-        let t_base = r.get_u64()?;
-        let count = r.get_u64()? as usize;
-        let grid = GridSpec::unit_origin(extent, m);
-        if count != horizon.slot_count() * grid.cell_count() {
-            return Err(CodecError::Corrupt("counter length"));
-        }
-        let mut counts = Vec::with_capacity(count);
-        for _ in 0..count {
-            counts.push(r.get_i32()?);
-        }
-        Ok(DensityHistogram {
-            grid,
-            horizon,
-            t_base,
-            counts,
-            epoch: 0,
-        })
     }
 
     /// Brute-force reference count for tests: how many of `points` fall
@@ -427,49 +366,6 @@ mod tests {
                 assert_eq!(h.count_at(t, cell), expect, "t={t} cell={cell:?}");
             }
         }
-    }
-
-    #[test]
-    fn checkpoint_round_trip() {
-        let mut h = dh();
-        h.apply(&Update::insert(
-            ObjectId(1),
-            0,
-            motion(5.0, 5.0, 10.0, 0.0, 0),
-        ));
-        h.apply(&Update::insert(
-            ObjectId(2),
-            0,
-            motion(55.0, 55.0, 0.0, 0.0, 0),
-        ));
-        h.advance_to(2);
-        let bytes = h.serialize();
-        let restored = DensityHistogram::deserialize(&bytes).unwrap();
-        assert_eq!(restored.t_base(), 2);
-        assert_eq!(restored.grid(), h.grid());
-        for t in 2..=7u64 {
-            assert_eq!(restored.plane_at(t), h.plane_at(t), "t={t}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage() {
-        use pdr_storage::CodecError;
-        assert_eq!(
-            DensityHistogram::deserialize(b"nope").unwrap_err(),
-            CodecError::BadMagic
-        );
-        let mut good = dh().serialize();
-        good[4] = 99; // version byte
-        assert!(matches!(
-            DensityHistogram::deserialize(&good).unwrap_err(),
-            CodecError::BadVersion(_)
-        ));
-        let good = dh().serialize();
-        assert_eq!(
-            DensityHistogram::deserialize(&good[..good.len() - 1]).unwrap_err(),
-            CodecError::UnexpectedEof
-        );
     }
 
     /// The epoch is the only staleness signal derived state (prefix

@@ -9,7 +9,7 @@
 //! updates with a typed [`ReportError`] so engines can *count and skip*
 //! them instead of debug-asserting deep inside a summary structure.
 
-use crate::{MotionState, ObjectId, TimeHorizon, Timestamp, Update, UpdateKind};
+use crate::{MotionState, ObjectId, Timestamp, Update, UpdateKind};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -27,8 +27,8 @@ pub enum ReportError {
         /// The duplicated id.
         id: ObjectId,
     },
-    /// The update's timestamps cannot be placed inside the server's
-    /// time horizon `H = U + W` around the current time.
+    /// The update is not stamped with the server's current time, or an
+    /// insertion's report was not taken when it arrived.
     OutsideHorizon {
         /// Object the report was for.
         id: ObjectId,
@@ -88,34 +88,26 @@ impl MotionState {
     }
 }
 
-/// Screens one update against the server's validity rules. `window`,
-/// when given, is the server's current time `t_base` plus its horizon:
-/// updates must arrive at `t_now ∈ [t_base, t_base + H]` and insertions
-/// must carry a report no older than `H` (and not from the future).
-pub fn screen_update(
-    u: &Update,
-    window: Option<(Timestamp, TimeHorizon)>,
-) -> Result<(), ReportError> {
+/// Screens one update against the server's validity rules. An
+/// insertion must carry a report taken when it arrives (`t_ref ==
+/// t_now`, as [`Update::insert`] builds it). `base`, when given, is
+/// the server's current time `t_base`, and every update must be
+/// stamped with it: the server advances first, then applies. Under
+/// both rules a per-timestamp summary holds, at any base, exactly the
+/// spans `[t_ref, t_ref + H]` of the live reports (clipped to its
+/// window), so it can be rebuilt from those reports alone.
+pub fn screen_update(u: &Update, base: Option<Timestamp>) -> Result<(), ReportError> {
     let m = u.motion();
     if !m.origin.is_finite() || !m.velocity.is_finite() {
         return Err(ReportError::NonFinite { id: u.id });
     }
-    let horizon_err = ReportError::OutsideHorizon {
-        id: u.id,
-        t_ref: m.t_ref,
-        t_now: u.t_now,
-    };
-    if matches!(u.kind, UpdateKind::Insert { .. }) && (m.t_ref > u.t_now) {
-        return Err(horizon_err);
-    }
-    if let Some((t_base, horizon)) = window {
-        let h = horizon.h();
-        if u.t_now < t_base || u.t_now - t_base > h {
-            return Err(horizon_err);
-        }
-        if matches!(u.kind, UpdateKind::Insert { .. }) && u.t_now - m.t_ref > h {
-            return Err(horizon_err);
-        }
+    let stale_insert = matches!(u.kind, UpdateKind::Insert { .. }) && m.t_ref != u.t_now;
+    if stale_insert || base.is_some_and(|t_base| u.t_now != t_base) {
+        return Err(ReportError::OutsideHorizon {
+            id: u.id,
+            t_ref: m.t_ref,
+            t_now: u.t_now,
+        });
     }
     Ok(())
 }
@@ -124,14 +116,11 @@ pub fn screen_update(
 /// the cross-update rule that an object id may be *inserted* at most
 /// once per batch. Returns the indices of rejected updates with their
 /// errors; accepted updates are the remaining indices, in order.
-pub fn screen_batch(
-    updates: &[Update],
-    window: Option<(Timestamp, TimeHorizon)>,
-) -> Vec<(usize, ReportError)> {
+pub fn screen_batch(updates: &[Update], base: Option<Timestamp>) -> Vec<(usize, ReportError)> {
     let mut rejected = Vec::new();
     let mut inserted: HashSet<ObjectId> = HashSet::new();
     for (i, u) in updates.iter().enumerate() {
-        if let Err(e) = screen_update(u, window) {
+        if let Err(e) = screen_update(u, base) {
             rejected.push((i, e));
             continue;
         }
@@ -158,8 +147,7 @@ mod tests {
             Update::insert(ObjectId(1), 5, motion(5)),
             Update::insert(ObjectId(2), 5, motion(5)),
         ];
-        let horizon = TimeHorizon::new(4, 2);
-        assert!(screen_batch(&batch, Some((5, horizon))).is_empty());
+        assert!(screen_batch(&batch, Some(5)).is_empty());
     }
 
     #[test]
@@ -189,25 +177,29 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_outside_the_horizon_rejected() {
-        let horizon = TimeHorizon::new(4, 2); // H = 6
-                                              // `Update::insert` rebases to t_now, so a stale report can only
-                                              // arrive through the pub fields — the bypass screening guards.
+    fn timestamps_off_the_server_clock_rejected() {
+        // `Update::insert` rebases to t_now, so a stale report can only
+        // arrive through the pub fields — the bypass screening guards.
         let stale = Update {
             id: ObjectId(1),
             t_now: 10,
-            kind: UpdateKind::Insert { motion: motion(2) }, // report 8 old > H
+            kind: UpdateKind::Insert { motion: motion(9) },
         };
-        let future = Update::insert(ObjectId(2), 20, motion(20)); // arrives past t_base + H
+        let ahead = Update::insert(ObjectId(2), 12, motion(12)); // after t_base
         let late = Update::insert(ObjectId(3), 9, motion(9)); // before t_base
-        let ok = Update::insert(ObjectId(4), 12, motion(11));
-        let batch = vec![stale, future, late, ok];
-        let rejected = screen_batch(&batch, Some((10, horizon)));
+        let early_delete = Update::delete(ObjectId(4), 11, motion(2));
+        let ok = Update::insert(ObjectId(5), 10, motion(7));
+        let ok_delete = Update::delete(ObjectId(6), 10, motion(2));
+        let batch = vec![stale, ahead, late, early_delete, ok, ok_delete];
+        let rejected = screen_batch(&batch, Some(10));
         let idxs: Vec<usize> = rejected.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 1, 2]);
+        assert_eq!(idxs, vec![0, 1, 2, 3]);
         assert!(rejected
             .iter()
             .all(|(_, e)| matches!(e, ReportError::OutsideHorizon { .. })));
+        // Without a clock only the insertion's own stamp is checked.
+        let idxs: Vec<usize> = screen_batch(&batch, None).iter().map(|(i, _)| *i).collect();
+        assert_eq!(idxs, vec![0]);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! | `ship_log`    | `epoch`, `offsets`[, `repl_epoch`, `engine`] | `epoch`, `repl_epoch`, `part_epoch`, `t_base`, `checkpoint` (base64 or null), `segments` |
 //! | `sync`        | [`engine`]                                   | `bootstrapped`, `records`, `updates`, `lag`, `applied_t`, `attempts` |
 //! | `promote`     | [`engine`]                                   | `promoted`, `repl_epoch`, `applied_t`     |
-//! | `rebalance`   | [`action` (`"split"`/`"merge"`), `engine`]   | `action`, `retired`, `created`, `records_replayed` (live reports re-inserted into the new leaves), `leaves`, `part_epoch` |
+//! | `rebalance`   | [`action` (`"split"`/`"merge"`), `engine`]   | `action`, `retired`, `created`, `records_replayed` (live reports bulk-loaded into the new leaves), `leaves`, `part_epoch` |
 //! | `metrics`     | —                                            | `metrics` object (counters, clients, exec[, replica])|
 //! | `shutdown`    | —                                            | `draining: true`; server drains and exits |
 //!
@@ -89,6 +89,8 @@
 //! segment deltas ride the JSON frames base64-encoded — and ingest it;
 //! the response reports the staleness bound (`lag`). At equal applied
 //! offsets the replica's answers are bit-identical to the primary's.
+//! Until its first bootstrap lands, a replica holds no state and
+//! answers `query`/`check` with `{"ok":false,"error":"not_synced"}`.
 //!
 //! ## Backpressure
 //!
@@ -1668,6 +1670,15 @@ fn serve_query(
         let q = PdrQuery::new(rho, l, t_abs);
         let answer = match engine {
             None => Err(err_json("no such engine")),
+            // A replica that has never bootstrapped holds no state: an
+            // empty answer would be indistinguishable from a real one.
+            Some(engine)
+                if engine
+                    .as_replica()
+                    .is_some_and(|r| r.bootstraps() == 0 && !r.promoted()) =>
+            {
+                Err(err_json("not_synced"))
+            }
             Some(engine) => {
                 // Transient faults retry in place under the read lock —
                 // the query path is `&self`, so no recovery is needed
@@ -2430,16 +2441,11 @@ mod tests {
     /// The sharded spec both replication endpoints are built from; the
     /// configs must match for shipped answers to be bit-identical.
     fn sharded_spec() -> EngineSpec {
-        sharded_spec_at(40)
-    }
-
-    /// [`sharded_spec`] over an `m × m` histogram grid.
-    fn sharded_spec_at(m: u32) -> EngineSpec {
         EngineSpec::Sharded {
             adaptive: None,
             inner: Box::new(EngineSpec::Fr(FrConfig {
                 extent: 200.0,
-                m,
+                m: 40,
                 horizon: TimeHorizon::new(4, 4),
                 buffer_pages: 64,
                 threads: 1,
@@ -2640,17 +2646,19 @@ mod tests {
     /// Replica bootstrap at its scale limit: a bootstrap shipment past
     /// [`MAX_FRAME`] is refused as a typed `frame_too_large`, by the
     /// primary to a direct `ship_log` and by the replica's `sync` after
-    /// one pull, and both connections keep serving. An FR checkpoint
-    /// still carries the whole `(H + 1)·m²` histogram, so a fine grid
-    /// over 50 objects is the cheapest way past the cap: m = 150 ships
-    /// 4.33 MB against the 4.19 MB cap, and m = 140 fits. Once
-    /// checkpoints carry motions instead of histograms (ROADMAP item 9)
-    /// the container shrinks by orders of magnitude, and this shape must
-    /// be revisited.
+    /// one pull, and both connections keep serving; the replica, never
+    /// bootstrapped, answers queries with the typed `not_synced`.
+    /// Checkpoints carry motions, not histograms, so only the
+    /// population crosses the cap: on this 2×2 shape the sealed
+    /// container is ~130 B per object (router table plus every leaf's
+    /// motion table, halo ghosts included), ~172 B base64-encoded, so
+    /// a bootstrap fails from ~24K objects; 30K ship ~5.2 MB.
     #[test]
     fn oversize_bootstrap_is_refused_typed_on_both_ends() {
-        let mut primary_driver = ServeDriver::new(sim(50), pdr_storage::CostModel::PAPER_DEFAULT)
-            .with_engine("fr", sharded_spec_at(150).build(0));
+        const OBJECTS: usize = 30_000;
+        let mut primary_driver =
+            ServeDriver::new(sim(OBJECTS), pdr_storage::CostModel::PAPER_DEFAULT)
+                .with_engine("fr", sharded_spec().build(0));
         primary_driver.bootstrap();
         let primary = NetServer::bind(
             "127.0.0.1:0",
@@ -2662,7 +2670,7 @@ mod tests {
         let primary_addr = primary.local_addr().unwrap().to_string();
         let primary = std::thread::spawn(move || primary.serve());
         let replica_driver = ServeDriver::new(sim(50), pdr_storage::CostModel::PAPER_DEFAULT)
-            .with_engine("fr", sharded_spec_at(150).try_build_replica(0).unwrap());
+            .with_engine("fr", sharded_spec().try_build_replica(0).unwrap());
         let replica = NetServer::bind(
             "127.0.0.1:0",
             replica_driver,
@@ -2693,16 +2701,21 @@ mod tests {
         );
         assert_eq!(resp.get("attempts").and_then(Json::as_u64), Some(1));
 
-        for (name, c) in [("primary", &mut p), ("replica", &mut r)] {
-            let resp = c
-                .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
-                .unwrap();
-            assert_eq!(
-                resp.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "{name} connection unusable after the refusal: {resp:?}"
-            );
-        }
+        // A threshold above the whole population: the filter rejects
+        // every cell, so the probe stays cheap at this scale.
+        let query = "{\"op\":\"query\",\"rho\":1000.0,\"l\":20.0,\"q_t\":1}";
+        let resp = p.request(query).unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "primary connection unusable after the refusal: {resp:?}"
+        );
+        let resp = r.request(query).unwrap();
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("not_synced"),
+            "an unsynced replica must not answer from its empty plane: {resp:?}"
+        );
         for c in [&mut r, &mut p] {
             c.request("{\"op\":\"shutdown\"}").unwrap();
         }

@@ -3,18 +3,17 @@
 //! A dense-region monitoring server keeps per-timestamp summaries for
 //! the whole horizon `H = U + W`. If it crashes and restarts cold, it
 //! cannot answer predictive queries correctly until every object has
-//! re-reported — up to `U` timestamps of blindness. Checkpointing the
-//! summaries (histogram counters, Chebyshev coefficients) removes that
-//! gap: the index rebuilds from the motion table in one bulk load, the
-//! summaries come back byte-for-byte.
+//! re-reported — up to `U` timestamps of blindness. A checkpoint removes
+//! that gap. FR's holds the live reports only: under the update
+//! protocol its histogram is a function of them, so the restore rebuilds
+//! the histogram and the index from the motion table in one bulk load.
+//! PA's holds its Chebyshev coefficients, which come back byte for byte.
 //!
 //! ```text
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use pdr::histogram::DensityHistogram;
 use pdr::mobject::{TimeHorizon, Update};
-use pdr::tprtree::{TprConfig, TprTree};
 use pdr::workload::{NetworkConfig, RoadNetwork, TrafficSimulator};
 use pdr::{FrConfig, FrEngine, PaConfig, PaEngine, PdrQuery};
 
@@ -64,11 +63,13 @@ fn main() {
     let before_pa = pa.query(q.rho, q.q_t).regions;
 
     // --- Checkpoint ---------------------------------------------------
-    let hist_bytes = fr.histogram().serialize();
+    let fr_bytes = fr.checkpoint_bytes();
     let pa_bytes = pa.serialize();
     println!(
-        "checkpoint: histogram {} KiB, PA coefficients {} KiB",
-        hist_bytes.len() / 1024,
+        "checkpoint: FR motion table {} KiB (a {} KiB histogram is not stored), \
+         PA coefficients {} KiB",
+        fr_bytes.len() / 1024,
+        fr.histogram().memory_bytes() / 1024,
         pa_bytes.len() / 1024
     );
 
@@ -76,20 +77,8 @@ fn main() {
     drop(fr);
     drop(pa);
 
-    let restored_hist = DensityHistogram::deserialize(&hist_bytes).expect("histogram checkpoint");
-    let fresh_tree = TprTree::new(
-        TprConfig {
-            buffer_pages: cfg.buffer_pages,
-            min_fill_ratio: 0.4,
-            horizon: horizon.h() as f64,
-            integral_metrics: true,
-        },
-        0,
-    );
-    // The motion table survives in the upstream system of record; the
-    // index rebuilds from it in one bulk load.
-    let current_motions = sim.population();
-    let fr2 = FrEngine::restore(cfg, restored_hist, fresh_tree, &current_motions);
+    let mut fr2 = FrEngine::new(cfg, 0);
+    fr2.restore_from_bytes(&fr_bytes).expect("FR checkpoint");
     let pa2 = PaEngine::deserialize(&pa_bytes).expect("PA checkpoint");
 
     let after_fr = fr2.query(&q).regions;
@@ -105,7 +94,7 @@ fn main() {
         after_pa.len(),
         before_pa.symmetric_difference_area(&after_pa)
     );
-    assert!(before_fr.symmetric_difference_area(&after_fr) < 1e-9);
+    assert_eq!(before_fr.rects(), after_fr.rects());
     assert!(before_pa.symmetric_difference_area(&after_pa) < 1e-9);
     println!("restart preserved both engines' answers exactly");
 }

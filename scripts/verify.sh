@@ -17,25 +17,20 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-fast=0
-only_faults=0
-only_sharded=0
-only_tcp=0
-only_sub=0
-only_replica=0
-only_chaos=0
-only_adaptive=0
-[ "${1:-}" = "--fast" ] && fast=1
-[ "${1:-}" = "--fault-matrix" ] && only_faults=1
-[ "${1:-}" = "--sharded-smoke" ] && only_sharded=1
-[ "${1:-}" = "--serve-tcp-smoke" ] && only_tcp=1
-[ "${1:-}" = "--sub-smoke" ] && only_sub=1
-[ "${1:-}" = "--replica-smoke" ] && only_replica=1
-[ "${1:-}" = "--chaos-smoke" ] && only_chaos=1
-[ "${1:-}" = "--adaptive-smoke" ] && only_adaptive=1
 fail=0
 
 step() { printf '\n==> %s\n' "$*"; }
+
+# Reports the verdict and exits: 1 when any step failed, else 0.
+finish() {
+    echo
+    if [ "$fail" -ne 0 ]; then
+        echo "verify: FAILED"
+        exit 1
+    fi
+    echo "verify: OK"
+    exit 0
+}
 
 # 10-tick serve smoke under one canned fault plan. Fails on a nonzero
 # exit (an unhandled panic aborts the process), on missing fault-plane
@@ -726,89 +721,17 @@ adaptive_smoke() {
     rm -f "$portfile" "$serverlog" "$clientlog"
 }
 
-if [ "$only_adaptive" -eq 1 ]; then
-    adaptive_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_chaos" -eq 1 ]; then
-    chaos_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_replica" -eq 1 ]; then
-    replica_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_sub" -eq 1 ]; then
-    sub_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_tcp" -eq 1 ]; then
-    serve_tcp_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_sharded" -eq 1 ]; then
-    sharded_smoke
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
-
-if [ "$only_faults" -eq 1 ]; then
-    fault_matrix
-    if [ "$fail" -ne 0 ]; then
-        echo
-        echo "verify: FAILED"
-        exit 1
-    fi
-    echo
-    echo "verify: OK"
-    exit 0
-fi
+fast=0
+case "${1:-}" in
+    --fault-matrix) fault_matrix; finish ;;
+    --sharded-smoke) sharded_smoke; finish ;;
+    --serve-tcp-smoke) serve_tcp_smoke; finish ;;
+    --sub-smoke) sub_smoke; finish ;;
+    --replica-smoke) replica_smoke; finish ;;
+    --chaos-smoke) chaos_smoke; finish ;;
+    --adaptive-smoke) adaptive_smoke; finish ;;
+    --fast) fast=1 ;;
+esac
 
 step "cargo fmt --check"
 if ! cargo fmt --all -- --check; then
@@ -882,10 +805,4 @@ if ! cargo test -q --workspace; then
     fail=1
 fi
 
-if [ "$fail" -ne 0 ]; then
-    echo
-    echo "verify: FAILED"
-    exit 1
-fi
-echo
-echo "verify: OK"
+finish
