@@ -15,11 +15,15 @@
 //!
 //! `serve --fault-plan FILE` installs a deterministic fault-injection
 //! schedule beneath the FR engine's storage plane (see
-//! [`FaultPlan::parse`] for the grammar) and turns on write-ahead
-//! journaling so detected corruption and ingest crashes recover from
-//! the latest checkpoint. Pair it with `--buffer-pages` small enough
-//! that the index actually pages — a pool that fits the working set
-//! never performs the physical I/O faults are injected into.
+//! [`FaultPlan::parse`] for the grammar) and turns on crash recovery:
+//! every engine is served as a sharded plane (1×1 without `--shards`)
+//! whose shards log each record to their own WAL segment, so ingest
+//! crashes and detected corruption recover shard-locally from the
+//! shard's latest checkpoint plus its segment tail. `--journal N`
+//! refreshes those checkpoints every N ticks; `--journal 0` turns crash
+//! recovery off. Pair it with `--buffer-pages` small enough that the
+//! index actually pages — a pool that fits the working set never
+//! performs the physical I/O faults are injected into.
 //!
 //! All engines are constructed through [`EngineSpec`] and queried
 //! through the [`DensityEngine`] trait — the CLI never touches
@@ -73,7 +77,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage:\n  pdrcli generate --objects N [--extent L] [--clusters K] [--seed S] --out FILE\n  \
          pdrcli query --data FILE --l EDGE --count MIN_OBJECTS --at T [--extent L] [--method fr|pa] [--threads N]\n  \
-         pdrcli serve --objects N --ticks T --l EDGE --count MIN_OBJECTS [--extent L] [--seed S] [--threads N] [--clients N] [--subs N] [--metrics FILE] [--fault-plan FILE] [--buffer-pages N] [--journal TICKS] [--shards SxS] [--adaptive] [--split-threshold N] [--merge-threshold N]\n  \
+         pdrcli serve --objects N --ticks T --l EDGE --count MIN_OBJECTS [--extent L] [--seed S] [--threads N] [--clients N] [--subs N] [--metrics FILE] [--fault-plan FILE [--journal TICKS]] [--buffer-pages N] [--shards SxS] [--adaptive] [--split-threshold N] [--merge-threshold N]\n  \
          pdrcli serve --listen ADDR [--port-file FILE] [--capacity N] [--deadline-ms N] [--net-fault-plan FILE] [--objects N ...]\n  \
          pdrcli serve --listen ADDR --replica-of PRIMARY_ADDR --shards SxS [--objects N ...]\n  \
          pdrcli client --connect ADDR [--ticks T] [--queries M] [--subs N] [--replica REPLICA_ADDR] [--failover ADDR,...] [--keep-open] [--rebalance] [--net-fault-plan FILE] [--l EDGE] [--count MIN_OBJECTS]\n  \
@@ -101,6 +105,8 @@ struct Options {
     metrics: Option<String>,
     fault_plan: Option<String>,
     buffer_pages: usize,
+    /// `serve --fault-plan`: recovery-point cadence in ticks; 0 turns
+    /// crash recovery off.
     journal: u64,
     /// Shard grid `(sx, sy)` for `serve`; `None` = unsharded engines.
     shards: Option<(u32, u32)>,
@@ -170,7 +176,7 @@ impl Options {
             metrics: None,
             fault_plan: None,
             buffer_pages: 512,
-            journal: 5, // checkpoint cadence in ticks; 0 = no journal
+            journal: 5,
             shards: None,
             listen: None,
             port_file: None,
@@ -435,10 +441,13 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     // Both engines, built declaratively, served by the one driver.
     // `--shards SxS` wraps each spec in the shared-nothing shard router
     // (`EngineSpec::Sharded`): same answers rect-for-rect, per-shard
-    // storage/WAL, and a per-shard block in the metrics JSON.
+    // storage/WAL, and a per-shard block in the metrics JSON. A
+    // journaled run serves 1x1 planes without it: the plane's segment
+    // is the one log crash recovery replays.
+    let journaled = o.fault_plan.is_some() && o.journal > 0;
     let spec_for = |method: &str| -> Result<EngineSpec, String> {
         let inner = engine_spec(method, o, horizon)?;
-        Ok(match o.shards {
+        Ok(match o.shards.or(journaled.then_some((1, 1))) {
             Some((sx, sy)) => EngineSpec::Sharded {
                 adaptive: o.adaptive.then(|| pdr_core::SplitPolicy {
                     split_threshold: o.split_threshold,
@@ -472,11 +481,10 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading fault plan {path}: {e}"))?;
         let plan = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        // Journal first: the checkpoint + WAL make detected corruption
-        // and ingest crashes recoverable once faults start firing.
-        // `--journal 0` turns recovery off, so persistent faults take
+        // Recovery first, so ingest crashes recover once faults start
+        // firing. `--journal 0` turns it off, so persistent faults take
         // the engine offline-degraded instead.
-        if o.journal > 0 {
+        if journaled {
             driver.enable_journal(o.journal);
         }
         driver.install_fault_plan("fr", plan);

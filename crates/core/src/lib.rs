@@ -109,8 +109,8 @@ pub use sub::{
 };
 pub use sweep::{refine_region, refine_region_set};
 pub use wal::{
-    open_checkpoint, record_boundaries, replay, restore_and_replay, seal_checkpoint, segment_name,
-    RecoverError, SegmentHeader, Wal, WalCodec, WalRecord, WalReplay, SEGMENT_HEADER_LEN,
+    open_checkpoint, record_boundaries, replay, seal_checkpoint, segment_name, RecoverError,
+    SegmentHeader, Wal, WalCodec, WalRecord, WalReplay, SEGMENT_HEADER_LEN,
 };
 
 // Fault-injection surface of the storage plane, re-exported so engine

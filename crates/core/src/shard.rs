@@ -29,11 +29,11 @@
 //!     maintenance pass asks each shard to evaluate just the groups its
 //!     owned subscriptions need and merges them the same way, clipped
 //!     to `owned(i) ∩ region`;
-//!   - crash recovery is *shard-local*: a corrupted shard restores its
-//!     own checkpoint and replays its own WAL segment; a shard that
-//!     stays broken is stickily degraded and serves its sub-domain with
-//!     the inner engine's filter-only answer while every other shard
-//!     keeps serving exactly;
+//!   - crash recovery is *shard-local*: a corrupted or crashed shard
+//!     restores its own checkpoint and replays its own WAL segment; a
+//!     shard that stays broken is stickily degraded and serves its
+//!     sub-domain with the inner engine's filter-only answer while
+//!     every other shard keeps serving exactly;
 //!   - a split or merge builds every new leaf one way — a fresh
 //!     engine bulk-loaded with the router's live reports whose bbox
 //!     meets the leaf's ingest region — and seats it through one
@@ -57,11 +57,11 @@
 use crate::colcodec::{get_motion_table, put_motion_table};
 use crate::engine::{DensityEngine, EngineAnswer, EngineStats};
 use crate::exec::Executor;
-use crate::obs::ObsReport;
+use crate::obs::{Histogram, ObsReport};
 use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, SubscriptionTable};
 use crate::wal::{
-    open_checkpoint, replay, restore_and_replay, seal_checkpoint, segment_name, RecoverError,
-    SegmentHeader, Wal, WalRecord, SEGMENT_HEADER_LEN,
+    open_checkpoint, replay, seal_checkpoint, segment_name, RecoverError, SegmentHeader, Wal,
+    WalRecord, SEGMENT_HEADER_LEN,
 };
 use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
@@ -69,6 +69,7 @@ use pdr_mobject::{screen_batch, MotionState, ObjectId, TimeHorizon, Timestamp, U
 use pdr_storage::{ByteReader, ByteWriter, FaultPlan, FaultStats, IoStats, StorageError};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -380,7 +381,10 @@ impl Partition {
         }
     }
 
-    /// Inverse of [`encode`](Self::encode).
+    /// Inverse of [`encode`](Self::encode). Counts are untrusted (a
+    /// replica bootstrap brings the container over the wire): one the
+    /// payload cannot hold — 40 bytes a leaf, 32 a path entry — is
+    /// refused as `Corrupt` before it sizes an allocation.
     pub fn decode(r: &mut ByteReader) -> Result<Partition, RecoverError> {
         fn get_rect(r: &mut ByteReader) -> Result<Rect, RecoverError> {
             let (x_lo, y_lo, x_hi, y_hi) = (r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?);
@@ -395,11 +399,17 @@ impl Partition {
         let epoch = r.get_u64()?;
         let next_id = r.get_u32()?;
         let n = r.get_u32()? as usize;
+        if n > r.remaining() / 40 {
+            return Err(pdr_storage::CodecError::Corrupt("leaf count exceeds payload").into());
+        }
         let mut leaves = Vec::with_capacity(n);
         for _ in 0..n {
             let id = r.get_u32()?;
             let tile = get_rect(r)?;
             let depth = r.get_u32()? as usize;
+            if depth > r.remaining() / 32 {
+                return Err(pdr_storage::CodecError::Corrupt("path depth exceeds payload").into());
+            }
             let mut path = Vec::with_capacity(depth);
             for _ in 0..depth {
                 path.push(get_rect(r)?);
@@ -503,6 +513,9 @@ struct ShardState {
     wal: Wal,
     checkpoint: Option<Arc<Vec<u8>>>,
     checkpoint_offset: usize,
+    /// Fault counters of the devices recovery replaced (a restore
+    /// seats the engine on a fresh device whose counters start at 0).
+    banked_faults: FaultStats,
 }
 
 impl ShardState {
@@ -524,6 +537,7 @@ impl ShardState {
             checkpoint_offset: wal.offset(),
             wal,
             checkpoint,
+            banked_faults: FaultStats::default(),
         }
     }
 }
@@ -536,8 +550,12 @@ impl ShardState {
 /// the task.
 struct ShardPlane {
     part: Partition,
+    /// A poisoned lock marks a shard whose ingest panicked mid-record
+    /// (see [`ShardedEngine::fan_out_ingest`]).
     shards: Vec<RwLock<ShardState>>,
     degraded: Vec<AtomicBool>,
+    /// Every successful shard recovery, timed (kept across rebuilds).
+    recovery: Histogram,
 }
 
 impl ShardPlane {
@@ -551,18 +569,33 @@ impl ShardPlane {
 
     /// Shard-local crash recovery: restore the shard's checkpoint and
     /// replay its WAL segment tail. The rest of the plane is untouched.
-    /// `false` when the shard has no checkpoint or recovery fails.
+    /// The restore replaces the shard's device, so its fault counters
+    /// are banked first. `false` when the shard has no checkpoint or
+    /// recovery fails; successes are counted and timed in `recovery`.
     fn recover_shard(&self, i: usize) -> bool {
-        let mut s = self.write_shard(i);
-        let ShardState {
-            engine,
-            wal,
-            checkpoint,
-            checkpoint_offset,
-        } = &mut *s;
-        checkpoint.as_deref().is_some_and(|cp| {
-            restore_and_replay(engine.as_mut(), cp, &wal.bytes()[*checkpoint_offset..]).is_ok()
-        })
+        let started = Instant::now();
+        let mut guard = self.write_shard(i);
+        let s = &mut *guard;
+        let Some(cp) = s.checkpoint.as_deref() else {
+            return false;
+        };
+        let faults = s.engine.fault_stats();
+        if s.engine.restore_from(cp).is_err() {
+            return false;
+        }
+        s.banked_faults += faults;
+        let Ok(tail) = replay(&s.wal.bytes()[s.checkpoint_offset..]) else {
+            return false;
+        };
+        for rec in tail.records {
+            match rec {
+                WalRecord::Advance(t) => s.engine.advance_to(t),
+                WalRecord::Batch(batch) => s.engine.apply_batch(&batch),
+            }
+        }
+        self.shards[i].clear_poison();
+        self.recovery.record(started.elapsed());
+        true
     }
 
     /// The degraded answer for shard `i`, or the error that forced it.
@@ -712,6 +745,7 @@ impl ShardedEngine {
                 part,
                 shards,
                 degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                recovery: Histogram::new(),
             }),
             subs: SubscriptionTable::new(),
             updates_applied: 0,
@@ -854,6 +888,35 @@ impl ShardedEngine {
             return (0..n).map(f).collect();
         }
         Executor::global().scope(n, f)
+    }
+
+    /// Runs one ingest record on every shard (`f(i, shard)`) under an
+    /// unwind guard. An injected fault surfaces through the infallible
+    /// pool API as a panic mid-record: it poisons that shard's lock,
+    /// and is re-raised only once every shard has run the record. The
+    /// record was appended to the segment first, so
+    /// [`recover_crashed`](Self::recover_crashed) can finish it.
+    fn fan_out_ingest<F>(&self, f: F)
+    where
+        F: Fn(usize, &mut ShardState) + Send + Sync + 'static,
+    {
+        let plane = Arc::clone(&self.plane);
+        let panics = self.fan_out(move |i| {
+            catch_unwind(AssertUnwindSafe(|| f(i, &mut plane.write_shard(i)))).err()
+        });
+        if let Some(payload) = panics.into_iter().flatten().next() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Recovers every shard whose ingest crashed from its recovery
+    /// point plus its segment tail, which ends with the crashed record.
+    /// Every other shard keeps its engine, segment and fault plan, and
+    /// the segment epoch does not move, so replicas keep shipping
+    /// incrementally. `false` when a crashed shard cannot be recovered.
+    pub fn recover_crashed(&mut self) -> bool {
+        let plane = &self.plane;
+        (0..plane.shards.len()).all(|i| !plane.shards[i].is_poisoned() || plane.recover_shard(i))
     }
 
     /// Merges per-shard answers: clip to owned rectangles, canonical
@@ -1150,6 +1213,7 @@ impl ShardedEngine {
             part: Partition::grid(Rect::new(0.0, 0.0, 1.0, 1.0), 1, 1, 0.0),
             shards: Vec::new(),
             degraded: Vec::new(),
+            recovery: Histogram::new(),
         });
         match Arc::try_unwrap(std::mem::replace(&mut self.plane, placeholder)) {
             Ok(plane) => plane,
@@ -1308,6 +1372,7 @@ impl ShardedEngine {
             part: post,
             shards,
             degraded,
+            recovery: old.recovery,
         });
         self.finish_topology_change();
     }
@@ -1553,13 +1618,11 @@ impl DensityEngine for ShardedEngine {
         // Per-shard batches apply concurrently (one task per shard):
         // each task takes only its own shard's write lock, so ingest
         // parallelism is shared-nothing like everything else here.
-        let plane = Arc::clone(&self.plane);
         let per_shard = Arc::new(per_shard);
-        self.fan_out(move |i| {
+        self.fan_out_ingest(move |i, s| {
             if per_shard[i].is_empty() {
                 return;
             }
-            let mut s = plane.write_shard(i);
             s.wal.append_batch(&per_shard[i]);
             s.engine.apply_batch(&per_shard[i]);
         });
@@ -1571,9 +1634,7 @@ impl DensityEngine for ShardedEngine {
             return;
         }
         self.t_base = t_now;
-        let plane = Arc::clone(&self.plane);
-        self.fan_out(move |i| {
-            let mut s = plane.write_shard(i);
+        self.fan_out_ingest(move |_, s| {
             s.wal.append_advance(t_now);
             s.engine.advance_to(t_now);
         });
@@ -1652,20 +1713,21 @@ impl DensityEngine for ShardedEngine {
         // Either way every shard restarts on a fresh segment with the
         // restored checkpoint as its recovery point.
         let reshape = self.plane.part.leaves() != part.leaves();
-        let engines: Vec<Box<dyn DensityEngine>> = if reshape {
-            let mut fresh = Vec::with_capacity(n);
-            for (i, cp) in parts.iter().enumerate() {
+        let mut fresh = Vec::with_capacity(n);
+        for (i, cp) in parts.iter().enumerate() {
+            if reshape {
                 let mut e = (self.builder)(i);
                 e.restore_from(cp)?;
                 fresh.push(e);
-            }
-            fresh
-        } else {
-            for (i, cp) in parts.iter().enumerate() {
+            } else {
                 self.plane.write_shard(i).engine.restore_from(cp)?;
             }
-            self.take_plane()
-                .shards
+        }
+        let old = self.take_plane();
+        let engines: Vec<Box<dyn DensityEngine>> = if reshape {
+            fresh
+        } else {
+            old.shards
                 .into_iter()
                 .map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()).engine)
                 .collect()
@@ -1687,6 +1749,7 @@ impl DensityEngine for ShardedEngine {
             part,
             shards,
             degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            recovery: old.recovery,
         });
         self.router_table = table;
         // Rewind the router clock to the checkpoint's: the screening
@@ -1713,7 +1776,9 @@ impl DensityEngine for ShardedEngine {
     fn fault_stats(&self) -> FaultStats {
         let mut total = FaultStats::default();
         for i in 0..self.plane.shards.len() {
-            total += self.plane.read_shard(i).engine.fault_stats();
+            let s = self.plane.read_shard(i);
+            total += s.banked_faults;
+            total += s.engine.fault_stats();
         }
         total
     }
@@ -1893,9 +1958,10 @@ impl DensityEngine for ShardedEngine {
         counters.push(("wal_bytes", wal_bytes));
         counters.push(("repl_epoch", self.repl_epoch));
         counters.push(("fenced_writes", self.fenced_writes()));
+        counters.push(("recoveries", self.plane.recovery.count()));
         ObsReport {
             counters,
-            stages: Vec::new(),
+            stages: vec![("recovery", self.plane.recovery.snapshot())],
         }
     }
 
@@ -1942,7 +2008,7 @@ impl DensityEngine for ShardedEngine {
                         .subs()
                         .filter(|sub| self.plane.part.owned(i).intersects(&sub.region))
                         .count(),
-                    s.engine.fault_stats().injected(),
+                    s.banked_faults.injected() + s.engine.fault_stats().injected(),
                     s.engine.obs().to_json(),
                 )
             })
@@ -2103,6 +2169,30 @@ mod tests {
         let mut r = pdr_storage::ByteReader::new(&bytes);
         let back = Partition::decode(&mut r).expect("decodes");
         assert_eq!(back, part);
+    }
+
+    /// A forged leaf count or path depth of `u32::MAX` must be refused
+    /// as `Corrupt` before it sizes an allocation (~256 GiB of leaves).
+    #[test]
+    fn partition_decode_refuses_counts_the_payload_cannot_hold() {
+        let part = Partition::grid(Rect::new(0.0, 0.0, 100.0, 100.0), 1, 1, 5.0);
+        let mut w = pdr_storage::ByteWriter::new();
+        part.encode(&mut w);
+        let bytes = w.into_bytes();
+        // version 4, bounds 32, halo 8, epoch 8, next_id 4 → leaf count;
+        // then id 4 and tile 32 → the leaf's path depth.
+        for at in [56, 56 + 4 + 4 + 32] {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = Partition::decode(&mut pdr_storage::ByteReader::new(&forged));
+            assert!(
+                matches!(
+                    err,
+                    Err(RecoverError::Codec(pdr_storage::CodecError::Corrupt(_)))
+                ),
+                "offset {at}: {err:?}"
+            );
+        }
     }
 
     fn fr_cfg() -> crate::FrConfig {

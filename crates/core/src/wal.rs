@@ -1,12 +1,12 @@
 //! Write-ahead log and checksummed checkpoints for engine state.
 //!
-//! The serve loop treats the density state (ObjectTable reports, DH
-//! counts, Chebyshev coefficient grids) as state that must survive
-//! faults: every tick's protocol traffic is appended to a [`Wal`]
-//! *before* it is applied, and engines periodically emit checkpoints
-//! sealed with [`seal_checkpoint`]. Recovery ([`restore_and_replay`])
-//! restores the latest checkpoint and replays the WAL tail; because
-//! every engine mutation is deterministic (integer histogram counters,
+//! A sharded plane treats each shard's density state (ObjectTable
+//! reports, DH counts, Chebyshev coefficient grids) as state that must
+//! survive faults: every record the shard ingests is appended to its
+//! [`Wal`] segment *before* it is applied, and the shard's checkpoints
+//! are sealed with [`seal_checkpoint`]. Shard-local recovery restores
+//! the latest checkpoint and replays the segment tail; because every
+//! engine mutation is deterministic (integer histogram counters,
 //! order-preserving batches) the recovered engine answers queries
 //! **bit-identically** to one that never crashed — asserted by the
 //! crash-point sweep test.
@@ -29,7 +29,6 @@
 //! codec's two (advance, batch) is a format error, never a torn tail.
 
 use crate::colcodec::{get_xor_column_classed, put_xor_column_classed};
-use crate::engine::DensityEngine;
 use pdr_mobject::{MotionState, ObjectId, Timestamp, Update, UpdateKind};
 use pdr_storage::{crc32, unzigzag64, zigzag64, ByteReader, ByteWriter, CodecError};
 use std::fmt;
@@ -635,26 +634,6 @@ impl Wal {
             ..Wal::default()
         }
     }
-}
-
-/// Restores `engine` from a sealed checkpoint and replays `tail`, the
-/// WAL records appended after that checkpoint was taken: the one
-/// recovery routine of a served engine and of a plane's shard. A torn
-/// final record is dropped (it never ran); a record that fails to
-/// decode refuses the recovery.
-pub fn restore_and_replay(
-    engine: &mut dyn DensityEngine,
-    checkpoint: &[u8],
-    tail: &[u8],
-) -> Result<(), RecoverError> {
-    engine.restore_from(checkpoint)?;
-    for rec in replay(tail)?.records {
-        match rec {
-            WalRecord::Advance(t) => engine.advance_to(t),
-            WalRecord::Batch(batch) => engine.apply_batch(&batch),
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------

@@ -2,12 +2,12 @@
 //! shard must stickily degrade **that shard alone** — every other
 //! shard keeps serving exactly and the plane never fails a query.
 //!
-//! The CLI fault smoke (`scripts/verify.sh --sharded-smoke`) can only
-//! observe driver-level containment, because a fault plan armed before
-//! the serve loop fires on the ingest path and is handled by the
-//! driver's crash protocol before any query runs. The query-path
-//! degradation invariant is pinned here instead, where the plan can be
-//! installed after ingest.
+//! The CLI fault smokes (`scripts/verify.sh --sharded-smoke`) can only
+//! observe ingest-path containment, because a fault plan armed before
+//! the serve loop fires on the ingest path: the crashed shard restores
+//! from its own segment (or, under `--journal 0`, the engine degrades)
+//! before any query runs. The query-path degradation invariant is
+//! pinned here instead, where the plan can be installed after ingest.
 
 use pdr_core::{
     DensityEngine, EngineSpec, FaultPlan, FrConfig, Partition, PdrQuery, ShardedEngine,

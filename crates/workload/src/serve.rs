@@ -24,9 +24,9 @@ use crate::simulator::TrafficSimulator;
 use crate::QuerySpec;
 use pdr_core::obs::{json_f64, Histogram, HistogramSnapshot, ObsReport};
 use pdr_core::{
-    accuracy, exact_dense_regions, restore_and_replay, AnswerDelta, DensityEngine, EngineAnswer,
-    EngineStats, Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId,
-    SubscriptionTable, Wal,
+    accuracy, exact_dense_regions, AnswerDelta, DensityEngine, EngineAnswer, EngineStats, Executor,
+    PdrQuery, QtPolicy, Scoreboard, ShardedEngine, StorageError, SubError, SubId,
+    SubscriptionTable,
 };
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
@@ -142,9 +142,9 @@ impl QueryMix {
 }
 
 /// How the serve loop reacts to storage faults: bounded retry with
-/// seeded jittered backoff for transient faults, checkpoint+WAL
-/// recovery for detected corruption, graceful degradation otherwise,
-/// all under an optional per-query deadline.
+/// seeded jittered backoff for transient faults, graceful degradation
+/// otherwise, all under an optional per-query deadline. (A sharded
+/// plane recovers detected corruption inside the query.)
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPolicy {
     /// Query attempts before giving up on transient faults (counting
@@ -158,8 +158,8 @@ pub struct FaultPolicy {
     /// Seed of the jitter generator — runs with the same seed, plan
     /// and workload retry at identical points.
     pub seed: u64,
-    /// Per-query deadline: when retries/recovery would exceed it, the
-    /// query degrades immediately and the miss is counted.
+    /// Per-query deadline: when retries would exceed it, the query
+    /// degrades immediately and the miss is counted.
     pub deadline: Option<Duration>,
 }
 
@@ -209,10 +209,12 @@ pub struct EngineLoad {
     pub ingest_ms: f64,
     /// Query attempts repeated after a transient storage fault.
     pub retries: u64,
-    /// Checkpoint+WAL recoveries performed after detected corruption.
+    /// Shard recoveries (checkpoint + segment tail) the engine's plane
+    /// performed after an ingest crash or detected corruption.
     pub recoveries: u64,
-    /// Queries answered by the filter-only degraded path after
-    /// retries/recovery could not produce an exact answer.
+    /// Queries answered by the filter-only degraded path after retries
+    /// could not produce an exact answer, or answered by a plane with
+    /// a degraded shard (filter-only over that shard's sub-domain).
     pub degraded_queries: u64,
     /// Queries that produced no answer at all (fault persisted and the
     /// engine has no degraded mode).
@@ -222,7 +224,8 @@ pub struct EngineLoad {
     /// Injected-fault / checksum-failure counters from the engine's
     /// storage plane.
     pub faults: FaultStats,
-    /// Recovery-time distribution (restore + WAL tail replay).
+    /// Shard recovery-time distribution (restore + segment tail
+    /// replay).
     pub recovery_us: HistogramSnapshot,
     /// Final engine stats snapshot.
     pub stats: EngineStats,
@@ -476,9 +479,6 @@ struct Served {
     engine: Box<dyn DensityEngine>,
     load: EngineLoad,
     latency: Histogram,
-    recovery: Histogram,
-    /// Latest sealed checkpoint and the WAL offset it replays from.
-    checkpoint: Option<(usize, Vec<u8>)>,
     /// Set when the engine's device failed persistently and could not
     /// be recovered: ingest stops (the device is unusable) and every
     /// query is answered by the filter-only degraded path from the
@@ -554,15 +554,6 @@ impl std::fmt::Display for SubscribeError {
 
 impl std::error::Error for SubscribeError {}
 
-/// The journal a fault-tolerant serve run keeps: protocol records are
-/// appended *before* each engine mutation, engine checkpoints are taken
-/// every `every` ticks.
-struct Journal {
-    wal: Wal,
-    every: u64,
-    ticks_since_checkpoint: u64,
-}
-
 /// Owns a [`TrafficSimulator`] and any number of boxed engines; drives
 /// ingest and queries through the [`DensityEngine`] contract only.
 pub struct ServeDriver {
@@ -573,7 +564,9 @@ pub struct ServeDriver {
     tick_ingest: Histogram,
     tick_query: Histogram,
     policy: FaultPolicy,
-    journal: Option<Journal>,
+    /// Set by [`enable_journal`](ServeDriver::enable_journal): ingest
+    /// crashes recover, and planes refresh recovery points this often.
+    checkpoint_every: Option<u64>,
     rng: SeededRng,
     clients: Vec<ClientStats>,
     /// Deterministic generator for subscription regions (xorshift64*,
@@ -604,7 +597,7 @@ impl ServeDriver {
             tick_ingest: Histogram::new(),
             tick_query: Histogram::new(),
             policy,
-            journal: None,
+            checkpoint_every: None,
             rng: SeededRng::new(policy.seed),
             clients: Vec::new(),
             sub_rng: SeededRng::new(policy.seed ^ 0x5B5C_9A71),
@@ -619,20 +612,14 @@ impl ServeDriver {
         self
     }
 
-    /// Turns on write-ahead journaling with an engine checkpoint every
-    /// `every` ticks. Checkpoint-capable engines become recoverable:
-    /// when a query hits detected corruption, the driver restores the
-    /// latest checkpoint, replays the WAL tail and retries. Engines
-    /// without checkpoint support keep degrading instead. The journal
-    /// writes the WAL's one (columnar codec2) record format.
+    /// Turns on crash recovery, with every sharded plane's recovery
+    /// points refreshed every `every` ticks: a crashed ingest restores
+    /// just the plane's crashed shards from their recovery points and
+    /// WAL segment tails. Any other engine, or a plane whose recovery
+    /// fails, goes offline-degraded, as without a journal.
     pub fn enable_journal(&mut self, every: u64) {
         assert!(every > 0, "checkpoint cadence must be positive");
-        self.journal = Some(Journal {
-            wal: Wal::new(),
-            every,
-            ticks_since_checkpoint: 0,
-        });
-        self.checkpoint_engines();
+        self.checkpoint_every = Some(every);
     }
 
     /// Installs a fault-injection plan beneath the storage plane of the
@@ -644,20 +631,6 @@ impl ServeDriver {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Takes a fresh checkpoint of every checkpoint-capable engine,
-    /// anchored at the current WAL offset. No-op without a journal.
-    fn checkpoint_engines(&mut self) {
-        let Some(j) = self.journal.as_ref() else {
-            return;
-        };
-        let offset = j.wal.offset();
-        for s in &mut self.engines {
-            if let Some(bytes) = s.engine.checkpoint() {
-                s.checkpoint = Some((offset, bytes));
-            }
         }
     }
 
@@ -679,8 +652,6 @@ impl ServeDriver {
             engine,
             load: EngineLoad::new(label.to_string(), name),
             latency: Histogram::new(),
-            recovery: Histogram::new(),
-            checkpoint: None,
             degraded_mode: false,
             sub_mirrors: Vec::new(),
         });
@@ -727,9 +698,6 @@ impl ServeDriver {
             s.engine.bulk_load(&pop, t);
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
         }
-        // The bulk load is not WAL-recorded (it would dwarf the log);
-        // a post-bootstrap checkpoint makes it recoverable instead.
-        self.checkpoint_engines();
     }
 
     /// Promotes the replica registered under `label` into a writable
@@ -774,26 +742,18 @@ impl ServeDriver {
     /// connections.
     pub fn tick(&mut self) -> (usize, Vec<(String, AnswerDelta)>) {
         let t_next = self.sim.t_now() + 1;
-        if let Some(j) = self.journal.as_mut() {
-            j.wal.append_advance(t_next);
-        }
-        let wal = self.journal.as_ref().map(|j| &j.wal);
+        let recover = self.checkpoint_every.is_some();
         for s in &mut self.engines {
             let start = Instant::now();
-            ingest_or_recover(s, wal, |e| e.advance_to(t_next));
+            ingest_or_recover(s, recover, |e| e.advance_to(t_next));
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
         }
         let updates = self.sim.tick();
-        if let Some(j) = self.journal.as_mut() {
-            j.wal.append_batch(&updates);
-        }
-        let wal = self.journal.as_ref().map(|j| &j.wal);
         let mut emitted: Vec<(String, AnswerDelta)> = Vec::new();
         for s in &mut self.engines {
             let start = Instant::now();
-            let recoveries_before = s.load.recoveries;
             let mut deltas = Vec::new();
-            ingest_or_recover(s, wal, |e| {
+            let crashed = ingest_or_recover(s, recover, |e| {
                 deltas = e.apply_batch_with_deltas(&updates, t_next);
             });
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
@@ -801,7 +761,7 @@ impl ServeDriver {
             if !has_subs {
                 continue;
             }
-            if s.load.recoveries != recoveries_before || s.degraded_mode {
+            if crashed || s.degraded_mode {
                 // The tick's deltas were lost mid-crash (or the engine
                 // went offline). After a successful recovery the engine
                 // is consistent again but unmaintained for this tick:
@@ -834,20 +794,16 @@ impl ServeDriver {
             }
             emitted.extend(deltas.into_iter().map(|d| (s.label.clone(), d)));
         }
-        let checkpoint_due = match self.journal.as_mut() {
-            Some(j) => {
-                j.ticks_since_checkpoint += 1;
-                if j.ticks_since_checkpoint >= j.every {
-                    j.ticks_since_checkpoint = 0;
-                    true
-                } else {
-                    false
-                }
+        if self
+            .checkpoint_every
+            .is_some_and(|every| t_next.is_multiple_of(every))
+        {
+            // A fresh recovery point bounds the tail a recovery replays;
+            // the composed checkpoint bytes are not needed.
+            let live = self.engines.iter().filter(|s| !s.degraded_mode);
+            for plane in live.filter_map(|s| s.engine.as_sharded()) {
+                let _ = plane.checkpoint();
             }
-            None => false,
-        };
-        if checkpoint_due {
-            self.checkpoint_engines();
         }
         (updates.len(), emitted)
     }
@@ -1002,11 +958,10 @@ impl ServeDriver {
     pub fn query_all(&mut self, q: &PdrQuery, truth: Option<&RegionSet>) -> Vec<RegionSet> {
         let model = self.model;
         let policy = self.policy;
-        let wal = self.journal.as_ref().map(|j| &j.wal);
         let rng = &mut self.rng;
         let mut answers = Vec::with_capacity(self.engines.len());
         for s in &mut self.engines {
-            let a = serve_with_faults(s, q, &policy, wal, rng);
+            let a = serve_with_faults(s, q, &policy, rng);
             s.load
                 .score
                 .record_cost(a.cpu.as_secs_f64() * 1e3, a.total_ms(&model), a.io);
@@ -1093,9 +1048,8 @@ impl ServeDriver {
     /// contract — so nested intra-query parallelism lands on the same
     /// process-wide [`Executor`]. All bookkeeping, and the full fault
     /// policy for any request that errored concurrently, runs serially
-    /// after the join; since retry/recovery mutates the engine it needs
-    /// the exclusive path, and replaying in client order keeps counters
-    /// and fault schedules deterministic.
+    /// after the join, in client order, which keeps counters and fault
+    /// schedules deterministic.
     fn concurrent_query_slice(&mut self, mix: &QueryMix, now: Timestamp) {
         let mut assignments: Vec<Vec<(PdrQuery, Option<RegionSet>)>> =
             Vec::with_capacity(mix.clients);
@@ -1142,15 +1096,14 @@ impl ServeDriver {
                     if deadline.is_some_and(|d| lat > d) {
                         stats.deadline_misses += 1;
                     }
-                    let a = match r {
-                        Ok(a) => a,
-                        Err(_) => {
-                            let policy = self.policy;
-                            let wal = self.journal.as_ref().map(|j| &j.wal);
-                            serve_with_faults(&mut self.engines[ei], q, &policy, wal, &mut self.rng)
-                        }
-                    };
                     let s = &mut self.engines[ei];
+                    let a = match r {
+                        Ok(a) => {
+                            count_degraded_shards(s);
+                            a
+                        }
+                        Err(_) => serve_with_faults(s, q, &self.policy, &mut self.rng),
+                    };
                     s.load
                         .score
                         .record_cost(a.cpu.as_secs_f64() * 1e3, a.total_ms(&model), a.io);
@@ -1190,11 +1143,12 @@ impl ServeDriver {
                     let mut load = s.load.clone();
                     load.stats = s.engine.stats();
                     load.latency = s.latency.snapshot();
-                    load.recovery_us = s.recovery.snapshot();
-                    // `load.faults` already holds counters banked from
-                    // devices replaced by recovery; add the live one.
-                    load.faults += s.engine.fault_stats();
+                    // A plane banks the counters of devices its shard
+                    // recoveries replaced, and counts the recoveries.
+                    load.faults = s.engine.fault_stats();
                     load.obs = s.engine.obs();
+                    load.recoveries = load.obs.counter("recoveries").unwrap_or(0);
+                    load.recovery_us = load.obs.stage("recovery").unwrap_or_default();
                     load.shards = s.engine.shard_metrics_json();
                     load
                 })
@@ -1210,57 +1164,47 @@ pub(crate) fn backoff(policy: &FaultPolicy, attempt: u32, rng: &mut SeededRng) {
     std::thread::sleep(d);
 }
 
-/// Restores `s` from its latest checkpoint and replays the WAL tail,
-/// banking the failed device's fault counters first (the restore
-/// replaces the device, and its counters with it). Returns `false`
-/// when the engine has no checkpoint or the checkpoint fails to
-/// verify; the recovery counter and time histogram record successes.
-fn recover_engine(s: &mut Served, wal: &Wal) -> bool {
-    let Some((offset, bytes)) = s.checkpoint.as_ref() else {
-        return false;
-    };
-    let rec_start = Instant::now();
-    s.load.faults += s.engine.fault_stats();
-    if restore_and_replay(s.engine.as_mut(), bytes, &wal.bytes()[*offset..]).is_err() {
-        return false;
-    }
-    s.load.recoveries += 1;
-    s.recovery.record(rec_start.elapsed());
-    true
-}
-
 /// Runs one ingest mutation, treating an engine panic as a simulated
 /// crash. The ingest path reads through the infallible pool API, so an
-/// injected fault surfaces as a panic mid-mutation; the WAL record for
-/// the mutation was appended *before* it ran, so restoring the
-/// checkpoint and replaying the tail lands the engine exactly where a
-/// clean apply would have. Without a journal (or without a checkpoint)
-/// the panic propagates unchanged. The caught engine may hold broken
-/// invariants, but recovery discards its entire state, so none can be
-/// observed — which is what makes the `AssertUnwindSafe` sound.
+/// injected fault surfaces as a panic mid-mutation. With `recover`, a
+/// sharded plane restores the crashed shards from their recovery
+/// points and segment tails, landing exactly where a clean apply would
+/// have; otherwise, or when that fails, the engine goes
+/// offline-degraded. A panic no injected fault caused propagates.
+/// Returns whether the mutation crashed. Broken invariants can live
+/// only in crashed shards, which recovery replaces and degraded mode
+/// never serves exactly — which makes the `AssertUnwindSafe` sound.
 fn ingest_or_recover(
     s: &mut Served,
-    wal: Option<&Wal>,
+    recover: bool,
     apply: impl FnOnce(&mut dyn DensityEngine),
-) {
+) -> bool {
     if s.degraded_mode {
-        return;
+        return false;
     }
     let before = s.engine.fault_stats();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         apply(s.engine.as_mut());
     }));
-    if let Err(payload) = outcome {
-        if s.engine.fault_stats() == before {
-            // Not our injection: a genuine bug must stay loud.
-            std::panic::resume_unwind(payload);
-        }
-        if !wal.is_some_and(|w| recover_engine(s, w)) {
-            // Fault-caused but unrecoverable (no journal, or the
-            // checkpoint failed to verify): take the engine offline and
-            // keep serving degraded instead of dropping the tick.
-            s.degraded_mode = true;
-        }
+    let Err(payload) = outcome else {
+        return false;
+    };
+    if s.engine.fault_stats() == before {
+        // Not our injection: a genuine bug must stay loud.
+        std::panic::resume_unwind(payload);
+    }
+    let plane = s.engine.as_sharded_mut().filter(|_| recover);
+    s.degraded_mode = !plane.is_some_and(ShardedEngine::recover_crashed);
+    true
+}
+
+/// Counts an answer a sharded plane served while one of its shards is
+/// degraded: it comes back `Ok`, but filter-only over that shard's
+/// sub-domain.
+fn count_degraded_shards(s: &mut Served) {
+    let plane = s.engine.as_sharded();
+    if plane.is_some_and(|p| (0..p.map().shards()).any(|i| p.shard_degraded(i))) {
+        s.load.degraded_queries += 1;
     }
 }
 
@@ -1285,13 +1229,11 @@ fn degrade(s: &mut Served, q: &PdrQuery) -> EngineAnswer {
 }
 
 /// One query under the fault policy: retry transient faults with
-/// backoff, recover from detected corruption via checkpoint + WAL tail
-/// (once per query), degrade otherwise — all bounded by the deadline.
+/// backoff, degrade otherwise — bounded by the deadline.
 fn serve_with_faults(
     s: &mut Served,
     q: &PdrQuery,
     policy: &FaultPolicy,
-    wal: Option<&Wal>,
     rng: &mut SeededRng,
 ) -> EngineAnswer {
     if s.degraded_mode {
@@ -1299,10 +1241,12 @@ fn serve_with_faults(
     }
     let start = Instant::now();
     let mut attempts = 1u32;
-    let mut recovered = false;
     loop {
         let err = match s.engine.try_query(q) {
-            Ok(a) => return a,
+            Ok(a) => {
+                count_degraded_shards(s);
+                return a;
+            }
             Err(e) => e,
         };
         if policy.deadline.is_some_and(|d| start.elapsed() >= d) {
@@ -1315,20 +1259,10 @@ fn serve_with_faults(
             backoff(policy, attempts, rng);
             continue;
         }
-        if err.is_corruption() && !recovered {
-            // Corruption is repairable by rewriting the data; a device
-            // refusing reads is not — those degrade below. The restored
-            // index lives on a fresh simulated device, so the fault
-            // plan (a schedule for the *failed* device) is gone.
-            if wal.is_some_and(|w| recover_engine(s, w)) {
-                recovered = true;
-                continue;
-            }
-        }
         if !err.is_transient() {
             // A device refusing service permanently (or corruption
-            // with no checkpoint to restore) won't heal between
-            // queries: go offline-degraded instead of re-probing it.
+            // nothing recovered) won't heal between queries: go
+            // offline-degraded instead of re-probing it.
             s.degraded_mode = true;
         }
         return degrade(s, q);
@@ -1805,9 +1739,47 @@ mod tests {
         }
     }
 
+    /// [`faulty_driver`]'s FR engine served as an `sx × sx` plane — the
+    /// shape whose ingest crashes the driver recovers, shard-locally.
+    fn faulty_plane_driver(n: usize, sx: u32, labels: &[&str]) -> ServeDriver {
+        let net = RoadNetwork::generate(&NetworkConfig::metro(200.0), 29);
+        let sim = TrafficSimulator::new(net, n, 31, 4, 0);
+        let spec = faulty_plane_spec(sx);
+        labels.iter().fold(
+            ServeDriver::new(sim, CostModel::PAPER_DEFAULT),
+            |d, label| d.with_engine(label, spec.build(0)),
+        )
+    }
+
+    fn faulty_plane_spec(sx: u32) -> EngineSpec {
+        EngineSpec::Sharded {
+            inner: Box::new(EngineSpec::Fr(FrConfig {
+                extent: 200.0,
+                m: 40,
+                horizon: TimeHorizon::new(4, 4),
+                buffer_pages: 4,
+                threads: 1,
+            })),
+            sx,
+            sy: sx,
+            l_max: 20.0,
+            adaptive: None,
+        }
+    }
+
+    fn plane<'a>(d: &'a ServeDriver, label: &str) -> &'a ShardedEngine {
+        d.engine(label)
+            .and_then(|e| e.as_sharded())
+            .expect("a plane")
+    }
+
+    fn recoveries(d: &ServeDriver, label: &str) -> u64 {
+        plane(d, label).obs().counter("recoveries").unwrap_or(0)
+    }
+
     #[test]
     fn torn_write_corruption_triggers_checkpoint_recovery() {
-        let mut d = faulty_driver(800);
+        let mut d = faulty_plane_driver(800, 1, &["fr"]);
         d.bootstrap();
         d.enable_journal(1);
         d.tick();
@@ -1815,8 +1787,8 @@ mod tests {
         assert!(d.install_fault_plan("fr", FaultPlan::new(7).with_torn_write(1, None)));
         // Queries page the tree through the tiny pool: a dirty eviction
         // writes back, the write is torn, and a later read of that page
-        // fails its checksum. The serve loop must restore the latest
-        // checkpoint, replay the WAL tail, and still answer exactly.
+        // fails its checksum. The plane must restore the shard's latest
+        // checkpoint, replay its segment tail, and still answer exactly.
         let q = PdrQuery::new(6.0 / 400.0, 20.0, d.simulator().t_now());
         let mut recovered = false;
         for _ in 0..50 {
@@ -1826,7 +1798,7 @@ mod tests {
                 answers[0].symmetric_difference_area(&truth) < 1e-9,
                 "answers must stay exact through the recovery"
             );
-            if d.engines[0].load.recoveries > 0 {
+            if recoveries(&d, "fr") > 0 {
                 recovered = true;
                 break;
             }
@@ -1835,38 +1807,136 @@ mod tests {
         let load = &d.engines[0].load;
         assert_eq!(load.degraded_queries, 0, "recovery must beat degradation");
         assert_eq!(load.failed_queries, 0);
-        assert!(d.engines[0].recovery.snapshot().count >= 1);
+        let report = d.run(0, &mix());
+        assert!(report.engines[0].recovery_us.count >= 1);
         // The failed device's counters were banked before recovery
         // replaced it, so the report still shows what went wrong.
-        let mut faults = d.engines[0].load.faults;
-        faults += d.engines[0].engine.fault_stats();
+        let faults = report.engines[0].faults;
         assert!(faults.crc_failures >= 1);
         assert!(faults.torn_writes >= 1);
     }
 
     #[test]
-    fn ingest_crash_under_permanent_faults_recovers_from_the_journal() {
-        let mut d = faulty_driver(800);
+    fn ingest_crash_under_permanent_faults_recovers_from_the_shard_segment() {
+        let mut d = faulty_plane_driver(800, 1, &["fr"]);
         d.bootstrap();
         d.enable_journal(1);
         d.tick();
         assert!(d.install_fault_plan("fr", FaultPlan::new(7).with_permanent_read_fault(1)));
         // Ingest reads through the infallible pool API, so the fault
-        // surfaces as a panic mid-mutation — a simulated crash. The WAL
-        // record was appended before the mutation ran, so the driver
-        // must recover to exactly the state a clean apply would reach.
+        // surfaces as a panic mid-mutation — a simulated crash. The
+        // record was appended to the shard's segment before it ran, so
+        // the plane must recover to exactly the state a clean apply
+        // would reach.
         let (n, _) = d.tick();
         assert!(n > 0, "the tick itself must still make progress");
         assert!(
-            d.engines[0].load.recoveries >= 1,
-            "the crashed ingest must recover from checkpoint + WAL"
+            recoveries(&d, "fr") >= 1,
+            "the crashed ingest must recover from checkpoint + segment tail"
         );
-        // The restored engine is on a fresh device (no fault plan):
+        // The restored shard is on a fresh device (no fault plan):
         // serving continues exactly.
         let q = PdrQuery::new(6.0 / 400.0, 20.0, d.simulator().t_now());
         let truth = d.ground_truth(&q);
         let answers = d.query_all(&q, None);
         assert!(answers[0].symmetric_difference_area(&truth) < 1e-9);
         assert_eq!(d.engines[0].load.degraded_queries, 0);
+    }
+
+    /// One log per engine: an ingest crash on shard 0 of a 2×2 plane
+    /// restores that shard alone from its own segment. Answers match
+    /// an unfaulted twin bit for bit, no segment is reset (every one
+    /// equals the twin's), the segment epoch holds, and a replica
+    /// keeps catching up incrementally.
+    #[test]
+    fn ingest_crash_recovers_one_shard_and_keeps_the_replica_incremental() {
+        let mut d = faulty_plane_driver(3000, 2, &["fr", "twin"]);
+        d.bootstrap();
+        d.enable_journal(5);
+        d.tick();
+        d.tick();
+        let mut replica = faulty_plane_spec(2).try_build_replica(0).unwrap();
+        let mut sync = |d: &ServeDriver| {
+            let rep = replica.as_replica_mut().expect("a replica");
+            let ship = plane(d, "fr").wal_since(rep.applied_epoch(), rep.applied_offsets());
+            rep.ingest(&ship).expect("shipment applies")
+        };
+        assert!(sync(&d).bootstrapped);
+        let epoch = plane(&d, "fr").wal_epoch();
+        assert!(d.install_fault_plan("fr", FaultPlan::new(7).with_permanent_read_fault(1)));
+        d.tick();
+        assert!(recoveries(&d, "fr") >= 1, "shard 0's ingest must crash");
+        assert!(!d.engines[0].degraded_mode);
+        assert_eq!(plane(&d, "fr").wal_epoch(), epoch, "no plane-wide restore");
+        let segments = |label: &str| {
+            let p = plane(&d, label);
+            p.wal_since(p.wal_epoch(), &[pdr_core::SEGMENT_HEADER_LEN; 4])
+                .segments
+        };
+        assert_eq!(segments("fr"), segments("twin"));
+        d.tick();
+        let report = sync(&d);
+        assert!(!report.bootstrapped, "the replica must not re-bootstrap");
+        assert!(report.records > 0);
+        let replica = replica.as_replica().expect("a replica");
+        let now = d.simulator().t_now();
+        for dt in 0..4 {
+            let q = PdrQuery::new(6.0 / 400.0, 20.0, now + dt);
+            let answers = d.query_all(&q, None);
+            assert_eq!(answers[0].rects(), answers[1].rects(), "q_t = now + {dt}");
+            assert_eq!(replica.query(&q).regions.rects(), answers[1].rects());
+        }
+        assert_eq!(d.engines[0].load.degraded_queries, 0);
+    }
+
+    /// A torn write on shard 0 that crashes an ingest: the recovery
+    /// restores the shard onto a fresh device, and the plane still
+    /// reports the torn write and the checksum failure it caused, both
+    /// in `fault_stats` and in shard 0's `"faults"` entry.
+    #[test]
+    fn shard_recovery_banks_the_replaced_device_counters() {
+        let mut d = faulty_plane_driver(3000, 2, &["fr"]);
+        d.bootstrap();
+        d.enable_journal(5);
+        d.tick();
+        assert!(d.install_fault_plan("fr", FaultPlan::new(7).with_torn_write(1, None)));
+        for _ in 0..30 {
+            if recoveries(&d, "fr") > 0 {
+                break;
+            }
+            d.tick();
+        }
+        assert!(
+            recoveries(&d, "fr") >= 1,
+            "the torn write never crashed an ingest"
+        );
+        let q = PdrQuery::new(6.0 / 400.0, 20.0, d.simulator().t_now());
+        d.query_all(&q, None);
+        let faults = plane(&d, "fr").fault_stats();
+        assert!(faults.torn_writes >= 1, "{faults:?}");
+        assert!(faults.crc_failures >= 1, "{faults:?}");
+        // Shard 0's entry comes first in the per-shard block.
+        let shards = plane(&d, "fr").shard_metrics_json().unwrap();
+        let shard0 = shards.split("\"faults\":").nth(1).unwrap();
+        assert!(!shard0.starts_with("0,"), "{shards}");
+    }
+
+    /// A permanent read fault installed after ingest degrades shard 0
+    /// inside the plane: its answers still come back `Ok`, partly
+    /// filter-only, and the driver counts each one as degraded.
+    #[test]
+    fn answers_with_a_degraded_shard_count_as_degraded() {
+        let mut d = faulty_plane_driver(3000, 2, &["fr"]);
+        d.bootstrap();
+        d.tick();
+        assert!(d.install_fault_plan("fr", FaultPlan::new(7).with_permanent_read_fault(1)));
+        let q = PdrQuery::new(6.0 / 400.0, 20.0, d.simulator().t_now());
+        d.query_all(&q, None);
+        d.query_all(&q, None);
+        assert!(plane(&d, "fr").shard_degraded(0));
+        assert!(!d.engines[0].degraded_mode, "the other shards keep serving");
+        let load = &d.engines[0].load;
+        assert_eq!(load.degraded_queries, 2);
+        assert_eq!(load.failed_queries, 0);
     }
 }

@@ -88,7 +88,8 @@ fault_matrix() {
     fault_case clean '"faults_injected":0' '!"degraded_queries":[1-9]'
     # Transient reads: retried to exact answers, never degraded.
     fault_case transient-reads '!"degraded_queries":[1-9]'
-    # Torn write: detected via CRC and recovered from checkpoint + WAL.
+    # Torn write: detected via CRC and recovered from the (1x1) plane
+    # shard's checkpoint + WAL segment tail.
     fault_case torn-write '"recoveries":[1-9]' '!"degraded_queries":[1-9]'
     # Persistent device failure without a journal: degraded, not dead.
     fault_case persistent-read '"degraded_queries":[1-9]'
@@ -96,10 +97,12 @@ fault_matrix() {
 
 # Sharded serve plane: a clean 2x2 run must emit the per-shard metrics
 # block (one entry per shard, private WAL segments, no degradation),
-# and a persistent fault — scoped to shard 0 by the router — must stay
-# confined to that shard while the plane keeps serving every query.
-# (A plan armed before the serve loop fires on the ingest path and is
-# handled by the driver's crash protocol before any query runs, so the
+# a persistent fault — scoped to shard 0 by the router — must stay
+# confined to that shard while the plane keeps serving every query, and
+# a torn write on shard 0 must be recovered by that shard alone.
+# (A plan armed before the serve loop fires on the ingest path, where
+# the crashed shard restores from its own segment — or, under
+# --journal 0, the engine degrades — before any query runs, so the
 # query-path "exactly one shard degrades" invariant is pinned by the
 # crates/core/tests/shard_faults.rs integration test instead.)
 sharded_smoke() {
@@ -153,6 +156,33 @@ sharded_smoke() {
         fi
         if grep -qE '"failed_queries":[1-9]' "$out"; then
             echo "FAIL: sharded fault run dropped queries"
+            fail=1
+        fi
+    fi
+    rm -f "$out"
+
+    step "sharded torn-write smoke (shard 0 recovers from its own segment)"
+    out="$(mktemp /tmp/pdr-sharded-torn.XXXXXX.json)"
+    if ! target/release/pdrcli serve --objects 2000 --extent 500 --ticks 10 \
+            --l 30 --count 12 --seed 11 --buffer-pages 8 \
+            --shards 2x2 --fault-plan plans/torn-write.plan \
+            --metrics "$out" >/dev/null 2>&1; then
+        echo "FAIL: sharded torn-write serve exited nonzero (panic?)"
+        fail=1
+    else
+        if ! grep -qE '"recoveries":[1-9]' "$out"; then
+            echo "FAIL: sharded torn write was never recovered"
+            fail=1
+        fi
+        if grep -qE '"degraded_queries":[1-9]' "$out"; then
+            echo "FAIL: sharded torn write degraded serving"
+            fail=1
+        fi
+        # The recovered shard keeps its banked fault counters; no other
+        # shard saw a fault.
+        faulted="$(grep -oE '"faults":[0-9]+' "$out" | grep -cv '"faults":0')"
+        if [ "$faulted" != "1" ]; then
+            echo "FAIL: expected the torn write on 1 shard, got $faulted"
             fail=1
         fi
     fi
